@@ -10,8 +10,10 @@
 # (the vectorized batch pipeline must hold a >= 2x win over the row-at-a-time
 # baseline on scan->filter->aggregate at 100k rows; the morsel-parallel leaf
 # must hold >= 1.8x over the serial batch pipeline at 4 threads on >= 4-core
-# machines, and its 1-thread run must stay within 10% of serial batch), and a
-# docs-consistency check (BENCH field coverage + markdown cross-references).
+# machines, and its 1-thread run must stay within 10% of serial batch), a
+# sync-flatness gate (a bound-cell edit at 100k rows <= 2x one at 100), the
+# TSan and ASan+UBSan sanitizer jobs, and a docs-consistency check (BENCH
+# field coverage + markdown cross-references).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -397,6 +399,39 @@ else
 fi
 
 # ---------------------------------------------------------------------------
+# Sync-flatness gate (DESIGN.md §9): a front-end edit of a bound cell, the
+# keyed UPDATE it becomes, the one-cell window refresh and the dependent
+# DBSQL SUM (a maintained aggregate) must cost the same whatever the size of
+# the bound table — op_ms at 100k bound rows <= 2x op_ms at 100 rows
+# (measured ~1.1x; a scan on the edit path makes it ~100x).
+# ---------------------------------------------------------------------------
+if [[ -x "${BUILD_DIR}/bench_fig2c_sync" ]]; then
+  DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${SMOKE_DIR}" \
+    "${BUILD_DIR}/bench_fig2c_sync" \
+    --benchmark_filter='BM_Fig2c_FrontEndEditPropagation/(100|100000)$' \
+    --benchmark_min_time=0.2
+  edit100_ms="$(sed -n 's/.*"run":"FrontEndEdit\/100".*"op_ms":\([0-9][0-9.e+-]*\).*/\1/p' \
+    "${SMOKE_DIR}/BENCH_sync.json" | head -n1)"
+  edit100k_ms="$(sed -n 's/.*"run":"FrontEndEdit\/100000".*"op_ms":\([0-9][0-9.e+-]*\).*/\1/p' \
+    "${SMOKE_DIR}/BENCH_sync.json" | head -n1)"
+  if [[ -z "${edit100_ms}" || -z "${edit100k_ms}" ]]; then
+    echo "ci/check.sh: could not parse op_ms from BENCH_sync.json" >&2
+    exit 1
+  fi
+  echo "ci/check.sh: front-end edit -> refresh: ${edit100k_ms} ms @100k rows," \
+       "${edit100_ms} ms @100 rows (need <= 2x)"
+  if ! awk -v big="${edit100k_ms}" -v small="${edit100_ms}" \
+       'BEGIN { exit !(small > 0 && big <= 2 * small) }'; then
+    echo "ci/check.sh: a front-end edit at 100k bound rows (${edit100k_ms} ms)" \
+         "costs more than 2x one at 100 rows (${edit100_ms} ms) — two-way" \
+         "sync is no longer O(change)" >&2
+    exit 1
+  fi
+else
+  echo "ci/check.sh: bench_fig2c_sync not built; skipping sync-flatness gate"
+fi
+
+# ---------------------------------------------------------------------------
 # ThreadSanitizer: the concurrency suite (N reader cursors + 1 writer over a
 # bounded pool, group commit, disjoint + contending multi-writer sessions
 # over the partitioned write latches, the double-open lock) rebuilt with
@@ -414,6 +449,31 @@ if cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" --target concurrency_test \
     --gtest_brief=1
 else
   echo "ci/check.sh: concurrency_test not built under TSan (GTest missing?); skipping"
+fi
+
+# ---------------------------------------------------------------------------
+# AddressSanitizer + UndefinedBehaviorSanitizer: the fast suites rebuilt with
+# -fsanitize=address,undefined. Beyond memory errors in general, this
+# guards the incremental-sync state (DESIGN.md §9): maintained aggregates
+# hold const sql::Expr* into a cached statement, and bindings hold row ids
+# of their window, across arbitrary table deltas.
+# ---------------------------------------------------------------------------
+ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
+ASAN_SUITES=(exec_test txn_sql_test sql_parser_test formula_test engine_test
+             storage_test pager_test eviction_test sheet_test integration_test
+             concurrency_test property_test binding_sync_test dbsql_test)
+cmake -B "${ASAN_BUILD_DIR}" -S . \
+  -DCMAKE_CXX_FLAGS="-g -fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+if cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}" --target "${ASAN_SUITES[@]}" \
+     2>/dev/null; then
+  for suite in "${ASAN_SUITES[@]}"; do
+    ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+      UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+      "${ASAN_BUILD_DIR}/${suite}" --gtest_brief=1
+  done
+else
+  echo "ci/check.sh: sanitizer suites not built (GTest missing?); skipping ASan+UBSan"
 fi
 
 # ---------------------------------------------------------------------------

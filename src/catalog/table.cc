@@ -1,6 +1,7 @@
 #include "catalog/table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_set>
 #include <utility>
 
@@ -8,6 +9,10 @@
 #include "storage/hybrid_store.h"
 
 namespace dataspread {
+
+namespace {
+std::atomic<uint64_t> next_incarnation{1};
+}  // namespace
 
 Result<std::unique_ptr<Table>> Table::Create(
     std::string name, Schema schema, StorageModel model, storage::Pager* pager,
@@ -34,7 +39,8 @@ Table::Table(std::string name, Schema schema,
              std::unique_ptr<TableStorage> storage)
     : name_(std::move(name)),
       schema_(std::move(schema)),
-      storage_(std::move(storage)) {}
+      storage_(std::move(storage)),
+      incarnation_(next_incarnation.fetch_add(1, std::memory_order_relaxed)) {}
 
 Table::~Table() {
   if (durable() && !retain_files_) {
@@ -367,6 +373,25 @@ Result<Value> Table::GetAt(size_t pos, size_t col) const {
   return storage_->Get(SlotOf(rid), col);
 }
 
+Result<Row> Table::GetRowById(uint64_t rid) const {
+  if (rid >= rid_to_slot_.size()) {
+    return Status::OutOfRange("row id " + std::to_string(rid));
+  }
+  return storage_->GetRow(SlotOf(rid));
+}
+
+Result<Value> Table::GetById(uint64_t rid, size_t col) const {
+  if (rid >= rid_to_slot_.size()) {
+    return Status::OutOfRange("row id " + std::to_string(rid));
+  }
+  return storage_->Get(SlotOf(rid), col);
+}
+
+std::vector<uint64_t> Table::RowIdsAt(size_t start, size_t count) const {
+  start = std::min(start, order_.size());
+  return order_.GetRange(start, std::min(count, order_.size() - start));
+}
+
 Result<Value> Table::CoerceForColumn(Value v, size_t col) const {
   if (v.is_error()) {
     return Status::TypeError("error value " + v.error_code() +
@@ -390,10 +415,7 @@ Status Table::UpdateAt(size_t pos, size_t col, Value v) {
   }
   DS_ASSIGN_OR_RETURN(uint64_t rid, order_.Get(pos));
   DS_ASSIGN_OR_RETURN(Value coerced, CoerceForColumn(std::move(v), col));
-  Value before;
-  if (undo_ != nullptr) {
-    DS_ASSIGN_OR_RETURN(before, storage_->Get(SlotOf(rid), col));
-  }
+  DS_ASSIGN_OR_RETURN(Value before, storage_->Get(SlotOf(rid), col));
   // Statement bracket: everything this update logs is all-or-nothing across
   // crashes (DESIGN.md §7). Nested inside a Database-level statement it
   // rides the outer bracket.
@@ -409,18 +431,26 @@ Status Table::UpdateAt(size_t pos, size_t col, Value v) {
       return Status::ConstraintViolation("duplicate PRIMARY KEY " +
                                          coerced.ToSqlLiteral() + " in " + name_);
     }
-    DS_ASSIGN_OR_RETURN(Value old_key, storage_->Get(SlotOf(rid), col));
-    pk_to_rid_.erase(old_key);
+    pk_to_rid_.erase(before);
     pk_to_rid_[coerced] = rid;
   }
-  DS_RETURN_IF_ERROR(storage_->Set(SlotOf(rid), col, std::move(coerced)));
+  DS_RETURN_IF_ERROR(storage_->Set(SlotOf(rid), col, coerced));
   txn.Commit();
-  if (undo_ != nullptr) {
-    undo_->entries.push_back({UndoJournal::Entry::Kind::kUpdate, this, 0, col,
-                              rid, {}, std::move(before)});
-  }
-  Notify(TableChange{TableChange::Kind::kUpdate, pos, col});
+  NotifyUpdate(rid, col, std::move(before), std::move(coerced));
   return Status::OK();
+}
+
+void Table::NotifyUpdate(uint64_t rid, size_t col, Value before,
+                         Value after) {
+  if (undo_ != nullptr) {
+    undo_->entries.push_back(
+        {UndoJournal::Entry::Kind::kUpdate, this, 0, col, rid, {}, before});
+  }
+  TableChange change(TableChange::Kind::kUpdate, 0, col);
+  change.rid = rid;
+  change.old_value = std::move(before);
+  change.new_value = std::move(after);
+  Notify(std::move(change));
 }
 
 Status Table::InsertRowAt(size_t pos, Row row) {
@@ -490,7 +520,9 @@ Status Table::InsertRowAtWithRid(size_t pos, Row row, uint64_t rid) {
     undo_->entries.push_back(
         {UndoJournal::Entry::Kind::kInsert, this, pos, 0, rid, {}, {}});
   }
-  Notify(TableChange{TableChange::Kind::kInsert, pos, 0});
+  TableChange change(TableChange::Kind::kInsert, pos);
+  change.rid = rid;
+  Notify(std::move(change));
   return Status::OK();
 }
 
@@ -502,9 +534,10 @@ Status Table::DeleteRowAt(size_t pos) {
   DS_ASSIGN_OR_RETURN(uint64_t rid, order_.Get(pos));
   size_t slot = SlotOf(rid);
   Row before;
-  if (undo_ != nullptr) {
+  if (undo_ != nullptr || !listeners_.empty()) {
     // Capture the full tuple before any mutation — the RCV pre-step below
-    // nulls cells in place, so this read cannot wait.
+    // nulls cells in place, so this read cannot wait. The undo journal and
+    // the kDelete delta both carry it.
     DS_ASSIGN_OR_RETURN(before, storage_->GetRow(slot));
   }
   // Statement bracket: the rid move, order rewrite, data swap, and
@@ -559,10 +592,13 @@ Status Table::DeleteRowAt(size_t pos) {
   (void)order_.EraseAt(pos);
   txn.Commit();
   if (undo_ != nullptr) {
-    undo_->entries.push_back({UndoJournal::Entry::Kind::kDelete, this, pos, 0,
-                              rid, std::move(before), {}});
+    undo_->entries.push_back(
+        {UndoJournal::Entry::Kind::kDelete, this, pos, 0, rid, before, {}});
   }
-  Notify(TableChange{TableChange::Kind::kDelete, pos, 0});
+  TableChange change(TableChange::Kind::kDelete, pos);
+  change.rid = rid;
+  change.before = std::move(before);
+  Notify(std::move(change));
   return Status::OK();
 }
 
@@ -664,10 +700,7 @@ Status Table::UpdateByKey(const Value& key, size_t col, Value v) {
   }
   uint64_t rid = it->second;
   DS_ASSIGN_OR_RETURN(Value coerced, CoerceForColumn(std::move(v), col));
-  Value before;
-  if (undo_ != nullptr) {
-    DS_ASSIGN_OR_RETURN(before, storage_->Get(SlotOf(rid), col));
-  }
+  DS_ASSIGN_OR_RETURN(Value before, storage_->Get(SlotOf(rid), col));
   storage::StatementScope txn(storage_->pager(), write_txn_);
   if (col == *pk) {
     if (coerced.is_null()) {
@@ -682,13 +715,9 @@ Status Table::UpdateByKey(const Value& key, size_t col, Value v) {
     pk_to_rid_.erase(key);
     pk_to_rid_[coerced] = rid;
   }
-  DS_RETURN_IF_ERROR(storage_->Set(SlotOf(rid), col, std::move(coerced)));
+  DS_RETURN_IF_ERROR(storage_->Set(SlotOf(rid), col, coerced));
   txn.Commit();
-  if (undo_ != nullptr) {
-    undo_->entries.push_back({UndoJournal::Entry::Kind::kUpdate, this, 0, col,
-                              rid, {}, std::move(before)});
-  }
-  Notify(TableChange{TableChange::Kind::kBulk, 0, col});
+  NotifyUpdate(rid, col, std::move(before), std::move(coerced));
   return Status::OK();
 }
 
@@ -723,16 +752,20 @@ Status Table::UndoDeleteRow(size_t pos, Row row, uint64_t rid) {
 
 Status Table::UndoUpdateCell(uint64_t rid, size_t col, Value old_value) {
   size_t slot = SlotOf(rid);
+  DS_ASSIGN_OR_RETURN(Value current, storage_->Get(slot, col));
   storage::StatementScope txn(storage_->pager(), write_txn_);
   auto pk = schema_.primary_key_index();
   if (pk && *pk == col) {
-    DS_ASSIGN_OR_RETURN(Value current, storage_->Get(slot, col));
     pk_to_rid_.erase(current);
     if (!old_value.is_null()) pk_to_rid_[old_value] = rid;
   }
-  DS_RETURN_IF_ERROR(storage_->Set(slot, col, std::move(old_value)));
+  DS_RETURN_IF_ERROR(storage_->Set(slot, col, old_value));
   txn.Commit();
-  Notify(TableChange{TableChange::Kind::kBulk, 0, col});
+  // Rollback replays as ordinary deltas (undo capture is off while undoing).
+  UndoJournal* saved = undo_;
+  undo_ = nullptr;
+  NotifyUpdate(rid, col, std::move(current), std::move(old_value));
+  undo_ = saved;
   return Status::OK();
 }
 
@@ -761,7 +794,7 @@ Status Table::AddColumn(ColumnDef def, const Value& default_value) {
     return s;
   }
   LogDdl(storage::WalRecordType::kAddColumn);
-  Notify(TableChange{TableChange::Kind::kSchema, 0, schema_.num_columns() - 1});
+  Notify(TableChange(TableChange::Kind::kSchema, 0, schema_.num_columns() - 1));
   return Status::OK();
 }
 
@@ -777,7 +810,7 @@ Status Table::DropColumn(std::string_view column_name) {
   DS_RETURN_IF_ERROR(schema_.RemoveColumn(*idx));
   if (was_pk) pk_to_rid_.clear();
   LogDdl(storage::WalRecordType::kDropColumn);
-  Notify(TableChange{TableChange::Kind::kSchema, 0, *idx});
+  Notify(TableChange(TableChange::Kind::kSchema, 0, *idx));
   return Status::OK();
 }
 
@@ -789,7 +822,7 @@ Status Table::RenameColumn(std::string_view from, std::string_view to) {
   }
   DS_RETURN_IF_ERROR(schema_.RenameColumn(*idx, std::string(to)));
   LogDdl(storage::WalRecordType::kRenameColumn);
-  Notify(TableChange{TableChange::Kind::kSchema, 0, *idx});
+  Notify(TableChange(TableChange::Kind::kSchema, 0, *idx));
   return Status::OK();
 }
 
@@ -798,7 +831,7 @@ Status Table::Reorganize() {
   storage::CheckpointDeferral no_checkpoint(storage_->pager());
   DS_RETURN_IF_ERROR(static_cast<HybridStore*>(storage_.get())->Reorganize());
   LogDdl(storage::WalRecordType::kReorganize);
-  Notify(TableChange{TableChange::Kind::kBulk, 0, 0});
+  Notify(TableChange(TableChange::Kind::kBulk));
   return Status::OK();
 }
 
@@ -817,8 +850,9 @@ void Table::RemoveListener(int token) {
   }
 }
 
-void Table::Notify(const TableChange& change) {
+void Table::Notify(TableChange change) {
   version_ += 1;
+  change.table = this;
   for (const auto& [token, fn] : listeners_) {
     (void)token;
     fn(*this, change);

@@ -17,20 +17,36 @@
 
 namespace dataspread {
 
+class Table;
+
 /// A change event emitted after every table mutation. The Interface Manager
-/// subscribes to these to keep bound sheet regions in sync (paper §3,
-/// "two-way synchronization").
+/// subscribes to these to keep bound sheet regions and maintained DBSQL
+/// aggregates in sync (paper §3, "two-way synchronization"). Row-level
+/// changes are *deltas*: each names the row it touched by its stable row id
+/// and carries what a listener cannot read back afterwards (the deleted
+/// tuple, the overwritten value). A listener that needs the rest of an
+/// inserted or updated row reads it through `table` during the callback
+/// (Table::GetRowById). DESIGN.md §9.
 struct TableChange {
   enum class Kind {
-    kInsert,   ///< one row inserted at `position`
-    kDelete,   ///< one row removed from `position`
-    kUpdate,   ///< cell (`position`, `column`) changed
+    kInsert,   ///< row `rid` inserted at display position `position`
+    kDelete,   ///< row `rid` (= `before`) removed from display position
+               ///< `position`
+    kUpdate,   ///< cell (`rid`, `column`) changed `old_value` -> `new_value`
     kSchema,   ///< columns added/dropped/renamed
-    kBulk,     ///< many rows changed at once (bulk load / SQL DML)
+    kBulk,     ///< many rows changed at once (storage reorganization)
   };
+  explicit TableChange(Kind k, size_t pos = 0, size_t col = 0)
+      : kind(k), position(pos), column(col) {}
+
   Kind kind;
-  size_t position = 0;
-  size_t column = 0;
+  size_t position = 0;    ///< kInsert / kDelete
+  size_t column = 0;      ///< kUpdate (kSchema: the column touched)
+  uint64_t rid = 0;       ///< kInsert / kDelete / kUpdate
+  Row before;             ///< kDelete: the deleted tuple
+  Value old_value;        ///< kUpdate: the prior cell value
+  Value new_value;        ///< kUpdate: the stored (coerced) cell value
+  const Table* table = nullptr;  ///< the changed table; set by Notify
 };
 
 /// A relational table that is *interface-aware*: besides schema + storage it
@@ -91,6 +107,11 @@ class Table {
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return order_.size(); }
   uint64_t version() const { return version_; }
+  /// Process-unique identity of this Table object. A table dropped and
+  /// recreated under the same name (or reattached on reopen) gets a new
+  /// incarnation while its version restarts at 0, so caches key freshness
+  /// on (incarnation, version), never on (name, version).
+  uint64_t incarnation() const { return incarnation_; }
   TableStorage& storage() { return *storage_; }
 
   // ---- Ordered (display-position) access ------------------------------------
@@ -99,6 +120,12 @@ class Table {
   Result<Row> GetRowAt(size_t pos) const;
   /// One attribute at display position `pos`.
   Result<Value> GetAt(size_t pos, size_t col) const;
+  /// Whole tuple of row id `rid` (as named by a TableChange).
+  Result<Row> GetRowById(uint64_t rid) const;
+  /// One attribute of row id `rid`.
+  Result<Value> GetById(uint64_t rid, size_t col) const;
+  /// Row ids at display positions [start, start+count), clipped.
+  std::vector<uint64_t> RowIdsAt(size_t start, size_t count) const;
   /// Updates one attribute; enforces column type and PK uniqueness.
   Status UpdateAt(size_t pos, size_t col, Value v);
   /// Inserts a tuple so it displays at `pos` (0..num_rows()).
@@ -151,7 +178,8 @@ class Table {
 
   /// Updates one attribute of the row with PK `key` without resolving its
   /// display position — the key↔tuple half of the paper's key↔location
-  /// mapping. Emits a kBulk change (the position is not computed).
+  /// mapping. Emits a rid-addressed kUpdate change (the position is not
+  /// computed).
   Status UpdateByKey(const Value& key, size_t col, Value v);
 
   // ---- Schema changes (the paper's "as efficient as tuple updates") ---------
@@ -212,7 +240,10 @@ class Table {
   /// `next_rid_`.
   Status InsertRowAtWithRid(size_t pos, Row row, uint64_t rid);
   size_t SlotOf(uint64_t rid) const { return rid_to_slot_[rid]; }
-  void Notify(const TableChange& change);
+  void Notify(TableChange change);
+  /// Journals (under a transaction) and announces a cell update of row
+  /// `rid`: the undo entry and the kUpdate delta share the before-image.
+  void NotifyUpdate(uint64_t rid, size_t col, Value before, Value after);
   /// Rebuilds pk index; used after schema changes that affect the PK column.
   void RebuildPkIndex();
 
@@ -238,6 +269,7 @@ class Table {
   std::unordered_map<Value, uint64_t, ValueHash> pk_to_rid_;
   uint64_t next_rid_ = 0;
   uint64_t version_ = 0;
+  uint64_t incarnation_;
   int next_listener_token_ = 1;
   std::vector<std::pair<int, Listener>> listeners_;
   // Durable catalog state (0 = scratch table): see the class comment.

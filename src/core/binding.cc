@@ -39,18 +39,17 @@ Status TableBinding::WriteHeader() {
 }
 
 Status TableBinding::WriteRows(size_t start, size_t count) {
-  std::vector<Row> rows = table_->GetWindow(start, count);
-  for (size_t i = 0; i < rows.size(); ++i) {
+  std::vector<uint64_t> rids = table_->RowIdsAt(start, count);
+  for (size_t i = 0; i < rids.size(); ++i) {
+    window_rids_[start - window_start_ + i] = rids[i];
+    DS_ASSIGN_OR_RETURN(Row row, table_->GetRowById(rids[i]));
     int64_t sheet_row = data_row() + static_cast<int64_t>(start + i);
-    for (size_t c = 0; c < rows[i].size(); ++c) {
+    for (size_t c = 0; c < row.size(); ++c) {
       int64_t sheet_col = anchor_col_ + static_cast<int64_t>(c);
-      DS_RETURN_IF_ERROR(sheet_->SetValue(sheet_row, sheet_col, rows[i][c]));
+      DS_RETURN_IF_ERROR(
+          sheet_->SetValue(sheet_row, sheet_col, std::move(row[c])));
       WroteCell(sheet_row, sheet_col);
     }
-  }
-  // Clear any trailing rows if the table shrank below the requested span.
-  for (size_t i = rows.size(); i < count; ++i) {
-    DS_RETURN_IF_ERROR(ClearRows(start + i, 1));
   }
   return Status::OK();
 }
@@ -88,6 +87,8 @@ Status TableBinding::SetWindow(size_t start, size_t count) {
   }
   window_start_ = start;
   window_count_ = count;
+  window_rids_.assign(count, 0);
+  ClearPending();
   refreshes_ += 1;
   return WriteRows(start, count);
 }
@@ -97,11 +98,12 @@ Status TableBinding::RefreshWindow() {
   size_t start = std::min(window_start_, n);
   // Refresh the *configured* span, not the previously materialized one, so
   // the window grows when back-end inserts extend the table into it.
-  size_t count = requested_count_ > 0 ? requested_count_ : default_window_;
   size_t old_hi = window_start_ + window_count_;
   refreshes_ += 1;
   window_start_ = start;
-  window_count_ = std::min(count, n - start);
+  window_count_ = std::min(span(), n - start);
+  window_rids_.assign(window_count_, 0);
+  ClearPending();
   DS_RETURN_IF_ERROR(WriteRows(window_start_, window_count_));
   // Clear rows that fell off the end (table shrank).
   if (old_hi > window_start_ + window_count_) {
@@ -121,6 +123,79 @@ Status TableBinding::ClearMaterialized() {
   }
   DS_RETURN_IF_ERROR(ClearRows(window_start_, window_count_));
   window_count_ = 0;
+  window_rids_.clear();
+  ClearPending();
+  return Status::OK();
+}
+
+void TableBinding::ClearPending() {
+  pending_full_ = false;
+  pending_from_ = kNoShift;
+  pending_cells_.clear();
+}
+
+bool TableBinding::NoteChange(const TableChange& change) {
+  if (pending_full_) return false;  // the whole window is already due
+  switch (change.kind) {
+    case TableChange::Kind::kUpdate:
+      // Rows at positions >= pending_from_ are rewritten anyway; every row
+      // above that still sits where window_rids_ says, so a rid missing
+      // from it is not on screen (or is covered by the rewrite).
+      if (std::find(window_rids_.begin(), window_rids_.end(), change.rid) ==
+          window_rids_.end()) {
+        return false;
+      }
+      pending_cells_.emplace_back(change.rid, change.column);
+      return true;
+    case TableChange::Kind::kInsert:
+    case TableChange::Kind::kDelete:
+      if (change.position >= window_start_ + span()) return false;  // below
+      if (change.position < window_start_) {
+        pending_full_ = true;  // every shown row moved by one
+      } else {
+        pending_from_ = std::min(pending_from_, change.position);
+      }
+      return true;
+    case TableChange::Kind::kSchema:
+    case TableChange::Kind::kBulk:
+      break;
+  }
+  pending_full_ = true;
+  return true;
+}
+
+Status TableBinding::RefreshPending() {
+  if (pending_full_) return RefreshWindow();
+  if (pending_from_ == kNoShift && pending_cells_.empty()) return Status::OK();
+  std::vector<std::pair<uint64_t, size_t>> cells;
+  cells.swap(pending_cells_);
+  size_t from = pending_from_;
+  pending_from_ = kNoShift;
+  refreshes_ += 1;
+  if (from != kNoShift) DS_RETURN_IF_ERROR(RewriteFrom(from));
+  for (const auto& [rid, col] : cells) {
+    auto it = std::find(window_rids_.begin(), window_rids_.end(), rid);
+    if (it == window_rids_.end()) continue;  // deleted since
+    int64_t sheet_row =
+        data_row() + static_cast<int64_t>(window_start_) +
+        static_cast<int64_t>(it - window_rids_.begin());
+    int64_t sheet_col = anchor_col_ + static_cast<int64_t>(col);
+    DS_ASSIGN_OR_RETURN(Value v, table_->GetById(rid, col));
+    DS_RETURN_IF_ERROR(sheet_->SetValue(sheet_row, sheet_col, std::move(v)));
+    WroteCell(sheet_row, sheet_col);
+  }
+  return Status::OK();
+}
+
+Status TableBinding::RewriteFrom(size_t from) {
+  // Positions above `from` did not move, so window_start_ <= num_rows().
+  size_t n = table_->num_rows();
+  size_t old_hi = window_start_ + window_count_;
+  window_count_ = std::min(span(), n - window_start_);
+  window_rids_.resize(window_count_);
+  size_t hi = window_start_ + window_count_;
+  if (from < hi) DS_RETURN_IF_ERROR(WriteRows(from, hi - from));
+  if (old_hi > hi) DS_RETURN_IF_ERROR(ClearRows(hi, old_hi - hi));
   return Status::OK();
 }
 

@@ -3,6 +3,8 @@
 
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "catalog/table.h"
 #include "common/result.h"
@@ -54,8 +56,21 @@ class TableBinding {
   /// clearing cells of the previously materialized span.
   Status SetWindow(size_t start, size_t count);
 
-  /// Re-fetches the current window from the table (after back-end changes).
+  /// Re-fetches the whole current window from the table.
   Status RefreshWindow();
+
+  /// Records one table delta against the materialized window (DESIGN.md
+  /// §9) and returns true when it left work for RefreshPending — the
+  /// caller then queues that refresh. A rid-addressed update inside the
+  /// window marks one cell; an insert/delete at position p marks the rows
+  /// from p down (or the whole window when p is above it); schema and bulk
+  /// changes mark the whole window. Changes the window cannot show record
+  /// nothing.
+  bool NoteChange(const TableChange& change);
+
+  /// Rewrites what NoteChange recorded since the last refresh, and nothing
+  /// else.
+  Status RefreshPending();
 
   /// Clears every cell the binding materialized (used on unbind).
   Status ClearMaterialized();
@@ -69,8 +84,19 @@ class TableBinding {
   uint64_t refreshes() const { return refreshes_; }
 
  private:
+  /// Writes table positions [start, start+count) — inside the current,
+  /// clipped window — to the sheet and records their row ids.
   Status WriteRows(size_t start, size_t count);
   Status ClearRows(size_t start, size_t count);
+  /// Re-materializes the window from position `from` (>= window_start_)
+  /// down, after inserts/deletes at or below it; clears rows the window
+  /// lost.
+  Status RewriteFrom(size_t from);
+  /// The configured span: what the window shows when the table is big enough.
+  size_t span() const {
+    return requested_count_ > 0 ? requested_count_ : default_window_;
+  }
+  void ClearPending();
   void WroteCell(int64_t row, int64_t col) {
     if (cell_written_hook_) cell_written_hook_(row, col);
   }
@@ -85,6 +111,14 @@ class TableBinding {
   size_t requested_count_ = 0; // configured span; grows with the table
   size_t default_window_;
   uint64_t refreshes_ = 0;
+  // Row id at each materialized position: window_rids_[i] is the row shown
+  // at table position window_start_ + i.
+  std::vector<uint64_t> window_rids_;
+  // Work recorded by NoteChange for RefreshPending.
+  static constexpr size_t kNoShift = static_cast<size_t>(-1);
+  bool pending_full_ = false;
+  size_t pending_from_ = kNoShift;  // first position shifted by an insert/delete
+  std::vector<std::pair<uint64_t, size_t>> pending_cells_;  // (rid, column)
   std::function<void(int64_t, int64_t)> cell_written_hook_;
 };
 

@@ -202,13 +202,14 @@ bool InterfaceManager::RegionVisible(const Sheet* sheet, int64_t r0, int64_t c0,
 
 void InterfaceManager::OnTableChanged(const std::string& table_name,
                                       const TableChange& change) {
-  (void)change;
   backend_refreshes_ += 1;
   std::string key = ToLower(table_name);
-  // 1. Refresh bindings on this table (coalesced per binding).
+  // 1. Bindings on this table record the delta; those it left work for
+  //    queue a refresh (coalesced per binding).
   for (const auto& b : bindings_) {
-    if (!EqualsIgnoreCase(b->table()->name(), table_name)) continue;
+    if (b->table() != change.table) continue;
     TableBinding* raw = b.get();
+    if (!raw->NoteChange(change)) continue;
     int64_t r0 = raw->anchor_row();
     int64_t r1 = raw->data_row() + static_cast<int64_t>(raw->window_count());
     bool visible = RegionVisible(raw->sheet(), r0, raw->anchor_col(), r1,
@@ -218,9 +219,11 @@ void InterfaceManager::OnTableChanged(const std::string& table_name,
     scheduler_->EnqueueUnique(
         visible ? Priority::kVisible : Priority::kBackground,
         "binding-refresh-" + std::to_string(raw->id()),
-        [raw]() { (void)raw->RefreshWindow(); });
+        [raw]() { (void)raw->RefreshPending(); });
   }
-  // 2. Dirty DBSQL anchors that referenced this table and queue a recalc.
+  // 2. Maintained aggregates fold the delta, so their anchors hit the cache.
+  if (maintained_.count(key) > 0) FoldIntoMaintained(key, change);
+  // 3. Dirty DBSQL anchors that referenced this table and queue a recalc.
   auto it = anchors_by_table_.find(key);
   if (it != anchors_by_table_.end()) {
     for (const formula::CellKey& anchor : it->second) {
@@ -231,6 +234,66 @@ void InterfaceManager::OnTableChanged(const std::string& table_name,
       scheduler_->EnqueueUnique(Priority::kNear, "recalc-dirty",
                                 [engine]() { (void)engine->RecalcDirty(); });
     }
+  }
+}
+
+void InterfaceManager::FoldIntoMaintained(const std::string& table_key,
+                                          const TableChange& change) {
+  std::vector<std::string>& keys = maintained_[table_key];
+  const Table& table = *change.table;
+  for (auto k = keys.begin(); k != keys.end();) {
+    auto entry = dbsql_cache_.find(*k);
+    bool kept = entry != dbsql_cache_.end() && entry->second.agg != nullptr;
+    if (kept) {
+      DbsqlCache& e = entry->second;
+      TableStamp& stamp = e.tables.front();
+      // A version gap (a change this entry never saw) or another table
+      // under the same name (DROP + CREATE) ends maintenance.
+      kept = stamp.incarnation == table.incarnation() &&
+             stamp.version + 1 == table.version() && e.agg->Apply(change);
+      if (kept) {
+        e.result.rows.front() = e.agg->Finalize();
+        stamp.version = table.version();
+      } else {
+        e.agg.reset();  // stale from here: the next evaluation re-executes
+      }
+    }
+    k = kept ? k + 1 : keys.erase(k);
+  }
+  if (keys.empty()) maintained_.erase(table_key);
+}
+
+bool InterfaceManager::Fresh(const DbsqlCache& entry) const {
+  for (const TableStamp& stamp : entry.tables) {
+    auto table = db_->catalog().GetTable(stamp.name);
+    if (!table.ok() || table.value()->incarnation() != stamp.incarnation ||
+        table.value()->version() != stamp.version) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void InterfaceManager::MaybeMaintain(const std::string& sql,
+                                     DbsqlCache* entry) {
+  if (entry->tables.size() != 1 || entry->result.rows.size() != 1) return;
+  auto table = db_->catalog().GetTable(entry->tables.front().name);
+  if (!table.ok()) return;
+  auto agg = MaintainedAggregate::Build(sql, db_->catalog());
+  if (agg == nullptr || !agg->Seed(*table.value())) return;
+  // The seed must reproduce what Execute returned, value and type.
+  Row seeded = agg->Finalize();
+  const Row& executed = entry->result.rows.front();
+  if (seeded.size() != executed.size()) return;
+  for (size_t i = 0; i < seeded.size(); ++i) {
+    if (seeded[i].type() != executed[i].type() || seeded[i] != executed[i]) {
+      return;
+    }
+  }
+  entry->agg = std::move(agg);
+  std::vector<std::string>& keys = maintained_[entry->tables.front().name];
+  if (std::find(keys.begin(), keys.end(), sql) == keys.end()) {
+    keys.push_back(sql);
   }
 }
 
@@ -371,15 +434,7 @@ Value InterfaceManager::EvaluateDbsql(Sheet* sheet, int64_t row, int64_t col,
 
   auto cached = dbsql_cache_.find(cache_key);
   if (cached != dbsql_cache_.end()) {
-    bool fresh = true;
-    for (const auto& [name, version] : cached->second.table_versions) {
-      auto table = db_->catalog().GetTable(name);
-      if (!table.ok() || table.value()->version() != version) {
-        fresh = false;
-        break;
-      }
-    }
-    if (fresh && range_refs.empty()) {
+    if (range_refs.empty() && Fresh(cached->second)) {
       // Shared computation: identical query, identical inputs.
       dbsql_cache_hits_ += 1;
       return WriteSpill(sheet, row, col, cached->second.result);
@@ -395,7 +450,13 @@ Value InterfaceManager::EvaluateDbsql(Sheet* sheet, int64_t row, int64_t col,
   entry.result = std::move(result).value();
   for (const std::string& t : tables) {
     auto table = db_->catalog().GetTable(t);
-    if (table.ok()) entry.table_versions.emplace_back(t, table.value()->version());
+    if (table.ok()) {
+      entry.tables.push_back(TableStamp{t, table.value()->incarnation(),
+                                        table.value()->version()});
+    }
+  }
+  if (cell_refs.empty() && range_refs.empty()) {
+    MaybeMaintain(sql, &entry);  // no cell values: the key is the SQL text
   }
   Value anchor_value = WriteSpill(sheet, row, col, entry.result);
   dbsql_cache_[cache_key] = std::move(entry);

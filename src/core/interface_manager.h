@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/binding.h"
+#include "core/maintained_aggregate.h"
 #include "core/scheduler.h"
 #include "core/schema_infer.h"
 #include "db/database.h"
@@ -27,7 +28,11 @@ namespace dataspread {
 ///    dependent `DBSQL` cells;
 ///  - *shared computation* (§3 Compute Engine): identical `DBSQL` queries
 ///    whose inputs have not changed are served from a result cache keyed by
-///    resolved SQL + referenced table versions.
+///    resolved SQL and stamped with each referenced table's identity
+///    (incarnation) and version;
+///  - *incremental sync* (DESIGN.md §9): each table delta is applied to the
+///    bound windows and to the cached results of eligible aggregate
+///    queries, so an edit costs O(change), not O(table).
 class InterfaceManager : public formula::ExternalFormulaHandler {
  public:
   InterfaceManager(Workbook* workbook, Database* db,
@@ -95,9 +100,18 @@ class InterfaceManager : public formula::ExternalFormulaHandler {
   uint64_t backend_refreshes() const { return backend_refreshes_; }
 
  private:
+  /// Which table (by identity, not just name) and which version of it a
+  /// cached result reflects.
+  struct TableStamp {
+    std::string name;  // lower-cased
+    uint64_t incarnation = 0;
+    uint64_t version = 0;
+  };
   struct DbsqlCache {
     ResultSet result;
-    std::vector<std::pair<std::string, uint64_t>> table_versions;
+    std::vector<TableStamp> tables;
+    /// Non-null while the result is maintained from table deltas.
+    std::unique_ptr<MaintainedAggregate> agg;
   };
   struct SpillExtent {
     int64_t rows = 0;
@@ -105,6 +119,17 @@ class InterfaceManager : public formula::ExternalFormulaHandler {
   };
 
   void OnTableChanged(const std::string& table_name, const TableChange& change);
+  /// Folds `change` into the maintained entries on `table_key`, stamping
+  /// the new table version; entries that cannot fold it lose their state
+  /// and go stale (re-executed on next evaluation).
+  void FoldIntoMaintained(const std::string& table_key,
+                          const TableChange& change);
+  /// True when every stamped table still has the stamped identity+version.
+  bool Fresh(const DbsqlCache& entry) const;
+  /// Seeds an incremental state for a freshly executed entry cached under
+  /// `sql` when the query is an eligible single-table aggregate and the
+  /// seed reproduces the executed result exactly.
+  void MaybeMaintain(const std::string& sql, DbsqlCache* entry);
   Value EvaluateDbsql(Sheet* sheet, int64_t row, int64_t col,
                       const formula::FExpr& root);
   Value EvaluateDbtable(Sheet* sheet, int64_t row, int64_t col,
@@ -128,6 +153,8 @@ class InterfaceManager : public formula::ExternalFormulaHandler {
   int next_binding_id_ = 1;
   std::vector<std::unique_ptr<TableBinding>> bindings_;
   std::unordered_map<std::string, DbsqlCache> dbsql_cache_;
+  // Cache keys of maintained entries, by referenced table (lower-cased).
+  std::unordered_map<std::string, std::vector<std::string>> maintained_;
   std::unordered_map<formula::CellKey, SpillExtent, formula::CellKeyHash>
       spills_;
   // DBSQL anchors by referenced table (lower-cased) for invalidation.

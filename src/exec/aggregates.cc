@@ -57,6 +57,22 @@ Status AggState::UpdateValue(const Value& v) {
   return Status::Internal("unknown aggregate " + call_->op);
 }
 
+bool AggState::FoldsExactly(const Value& v) const {
+  return v.is_null() || call_->op == "COUNT" || v.type() == DataType::kInt;
+}
+
+bool AggState::Retract(const Value& v) {
+  if (v.is_null()) return true;
+  if (!FoldsExactly(v) || is_real_) return false;
+  if (call_->op == "MIN" || call_->op == "MAX") {
+    if (!has_extreme_ || Value::Compare(v, extreme_) == 0) return false;
+  } else if (call_->op == "SUM" || call_->op == "AVG") {
+    sum_int_ -= v.int_value();
+  }
+  --count_;
+  return true;
+}
+
 void AggState::Merge(const AggState& other) {
   count_ += other.count_;
   if (is_real_ || other.is_real_) {

@@ -34,6 +34,22 @@ class AggState {
   Status UpdateValue(const Value& v);
   void UpdateStar() { ++count_; }
 
+  /// True when folding `v` keeps the state exactly what re-running the
+  /// aggregate would compute, in any fold order: NULLs, any value under
+  /// COUNT, INT values otherwise. REAL sums depend on the order they are
+  /// added in, and compare-equal extremes of different types (INT 1 vs
+  /// REAL 1.0) on which arrives first, so a state that must stay
+  /// bit-identical to re-execution refuses them.
+  bool FoldsExactly(const Value& v) const;
+
+  /// Removes one value folded earlier — the inverse of UpdateValue, for an
+  /// incrementally maintained aggregate (DESIGN.md §9). Returns false, and
+  /// leaves the state unusable, when the inverse is not exact: a value that
+  /// does not FoldsExactly, or a value compare-equal to the current MIN/MAX
+  /// extreme (the runner-up is unknown without a rescan).
+  bool Retract(const Value& v);
+  void RetractStar() { --count_; }
+
   /// Folds another partial state for the same call into this one — the
   /// morsel-parallel merge (DESIGN.md §6b). `this` must cover the earlier
   /// display-order rows: ties (MIN/MAX compare-equal extremes) keep this

@@ -69,8 +69,13 @@ void Sheet::StoreCell(uint64_t rid, uint64_t cid, Cell cell) {
   int64_t tc = static_cast<int64_t>(cid >> GridIndex::kTileBits);
   uint32_t slot = tile_directory_.Find(tr, tc);
   if (slot == GridIndex::kNoSlot) {
-    slot = static_cast<uint32_t>(tiles_.size());
-    tiles_.emplace_back();
+    if (free_tiles_.empty()) {
+      slot = static_cast<uint32_t>(tiles_.size());
+      tiles_.emplace_back();
+    } else {
+      slot = free_tiles_.back();
+      free_tiles_.pop_back();
+    }
     (void)tile_directory_.Insert(tr, tc, slot);
   }
   uint16_t offset = static_cast<uint16_t>(((rid & 31) << 5) | (cid & 31));
@@ -96,9 +101,11 @@ void Sheet::EraseCell(uint64_t rid, uint64_t cid) {
   if (--row_occupancy_[rid] == 0) row_occupancy_.erase(rid);
   if (--col_occupancy_[cid] == 0) col_occupancy_.erase(cid);
   if (tiles_[slot].cells.empty()) {
-    // The tile slot stays allocated (vector-stable); only the directory entry
-    // is dropped so rectangle visits skip it.
+    // Drop the directory entry so rectangle visits skip the tile, free its
+    // hash buckets, and hand the slot to the next new tile.
     tile_directory_.Erase(tr, tc);
+    tiles_[slot] = Tile{};
+    free_tiles_.push_back(slot);
   }
 }
 

@@ -59,6 +59,9 @@ class Sheet {
   int64_t num_cols() const { return static_cast<int64_t>(col_axis_.size()); }
   /// Number of non-empty cells.
   size_t cell_count() const { return cell_count_; }
+  /// Tile slots allocated (live + free-listed): bounded by the peak number
+  /// of simultaneously occupied 32x32 tiles, not by every tile ever touched.
+  size_t tile_slots() const { return tiles_.size(); }
 
   // ---- Cell access by display position (0-based) ----
 
@@ -134,6 +137,7 @@ class Sheet {
   uint64_t next_col_id_ = 0;
   GridIndex tile_directory_;            // (rid/32, cid/32) -> slot in tiles_
   std::vector<Tile> tiles_;
+  std::vector<uint32_t> free_tiles_;    // emptied slots of tiles_, reused first
   std::unordered_map<uint64_t, uint32_t> row_occupancy_;  // rid -> #cells
   std::unordered_map<uint64_t, uint32_t> col_occupancy_;  // cid -> #cells
   size_t cell_count_ = 0;

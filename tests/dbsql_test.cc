@@ -129,6 +129,70 @@ TEST_F(DbsqlTest, FormulasOverSpill) {
   EXPECT_EQ(ds_.GetValueAt(sheet_, 0, 2), Value::Real(3.0));
 }
 
+TEST(DbsqlCacheTest, DropAndRecreateIsNotAStaleHit) {
+  // The recreated table restarts at the same version the dropped one had
+  // reached; the cached result must still not be served for it.
+  DataSpreadOptions opts;
+  opts.auto_pump = false;
+  DataSpread ds(opts);
+  Sheet* sheet = ds.AddSheet("S").ValueOrDie();
+  ASSERT_TRUE(ds.Sql("CREATE TABLE t (id INT PRIMARY KEY, amount INT)").ok());
+  ASSERT_TRUE(ds.Sql("INSERT INTO t VALUES (1, 10), (2, 20)").ok());
+  ASSERT_TRUE(ds.SetCellAt(sheet, 0, 0,
+                           "=DBSQL(\"SELECT SUM(amount) FROM t\")").ok());
+  ds.Pump();
+  ASSERT_EQ(ds.GetValueAt(sheet, 0, 0), Value::Int(30));
+
+  ASSERT_TRUE(ds.Sql("DROP TABLE t").ok());
+  ASSERT_TRUE(ds.Sql("CREATE TABLE t (id INT PRIMARY KEY, amount INT)").ok());
+  ASSERT_TRUE(ds.Sql("INSERT INTO t VALUES (1, 1000), (2, 2000)").ok());
+  ds.Pump();
+  EXPECT_EQ(ds.Sql("SELECT SUM(amount) FROM t").value().rows[0][0],
+            Value::Int(3000));
+  EXPECT_EQ(ds.GetValueAt(sheet, 0, 0), Value::Int(3000));
+}
+
+TEST(DbsqlCacheTest, AggregateEditsFoldWithoutReexecution) {
+  // An eligible aggregate is seeded once, then kept current from deltas:
+  // front-end edits, SQL DML and direct positional inserts/deletes all
+  // refresh the anchor as cache hits.
+  DataSpreadOptions opts;
+  opts.auto_pump = false;
+  DataSpread ds(opts);
+  Sheet* sheet = ds.AddSheet("S").ValueOrDie();
+  ASSERT_TRUE(ds.Sql("CREATE TABLE t (id INT PRIMARY KEY, amount INT)").ok());
+  ASSERT_TRUE(ds.Sql("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)").ok());
+  ASSERT_TRUE(ds.ImportTable("S", "A1", "t").ok());
+  ASSERT_TRUE(ds.SetCellAt(sheet, 0, 4,
+                           "=DBSQL(\"SELECT SUM(amount), COUNT(*), MAX(amount) "
+                           "FROM t WHERE amount > 5\")").ok());
+  ds.Pump();
+  ASSERT_EQ(ds.GetValueAt(sheet, 0, 4), Value::Int(60));
+  const uint64_t runs = ds.interface_manager().dbsql_executions();
+
+  ASSERT_TRUE(ds.SetCellAt(sheet, 2, 1, "25").ok());  // id 2: 20 -> 25
+  ds.Pump();
+  EXPECT_EQ(ds.GetValueAt(sheet, 0, 4), Value::Int(65));
+  EXPECT_EQ(ds.GetValueAt(sheet, 2, 1), Value::Int(25));
+  ASSERT_TRUE(ds.Sql("UPDATE t SET amount = 1 WHERE id = 1").ok());  // leaves WHERE
+  Table* t = ds.db().catalog().GetTable("t").ValueOrDie();
+  ASSERT_TRUE(t->InsertRowAt(1, {Value::Int(9), Value::Int(7)}).ok());
+  ASSERT_TRUE(t->DeleteRowAt(0).ok());
+  ds.Pump();
+  EXPECT_EQ(ds.GetValueAt(sheet, 0, 4), Value::Int(62));  // 7 + 25 + 30
+  EXPECT_EQ(ds.GetValueAt(sheet, 0, 5), Value::Int(3));
+  EXPECT_EQ(ds.GetValueAt(sheet, 0, 6), Value::Int(30));
+  EXPECT_EQ(ds.GetValueAt(sheet, 1, 0), Value::Int(9));  // shifted window
+  EXPECT_EQ(ds.interface_manager().dbsql_executions(), runs);
+
+  // Deleting the MAX cannot be folded: the entry falls back to one
+  // re-execution and is maintained again from there.
+  ASSERT_TRUE(ds.Sql("DELETE FROM t WHERE id = 3").ok());
+  ds.Pump();
+  EXPECT_EQ(ds.GetValueAt(sheet, 0, 6), Value::Int(25));
+  EXPECT_EQ(ds.interface_manager().dbsql_executions(), runs + 1);
+}
+
 TEST_F(DbsqlTest, SqlThroughFacadeSupportsQualifiedRefs) {
   ASSERT_TRUE(ds_.SetCellAt(sheet_, 0, 0, "2").ok());
   auto rs = ds_.Sql("SELECT name FROM actors WHERE actorid = RANGEVALUE(S!A1)");

@@ -1249,6 +1249,211 @@ TEST_P(ConcurrentTxnEquivalenceTest, DisjointWriterTapesMatchSerialReplay) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Invariant 13: incremental sync is invisible (DESIGN.md §9). After every
+// Pump, every DBSQL anchor — whether its aggregate is maintained from table
+// deltas or re-executed — equals a fresh Database::Execute of the same text
+// (values and types), and every materialized cell of a bound window equals
+// GetWindow, across random tapes of front-end edits, UPDATEs, positional
+// inserts/deletes, deletes of the current MIN/MAX, NULLs, rolled-back and
+// committed transactions, a REAL column (never maintained) and one ADD
+// COLUMN (the schema fallback), for every storage model and pool size.
+// ---------------------------------------------------------------------------
+
+class IncrementalSyncTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(IncrementalSyncTest, MaintainedAnchorsAndWindowsMatchReexecution) {
+  constexpr StorageModel kModels[] = {StorageModel::kRow,
+                                      StorageModel::kColumn,
+                                      StorageModel::kRcv,
+                                      StorageModel::kHybrid};
+  const std::vector<std::string> queries = {
+      "SELECT SUM(a), COUNT(*), COUNT(b), AVG(a) FROM t",
+      "SELECT MIN(a), MAX(b) FROM t WHERE b IS NOT NULL",
+      "SELECT COUNT(*), SUM(b), MAX(a) FROM t WHERE a > 50",
+      "SELECT SUM(a * 2 + b), MIN(b) FROM t WHERE s LIKE 'x%'",
+      "SELECT SUM(r), MAX(r), COUNT(r) FROM t",
+      "SELECT MIN(a) FROM t WHERE a < 20",
+  };
+  constexpr int64_t kAnchorCol = 8;
+  constexpr size_t kWindow = 12;
+
+  for (StorageModel model : kModels) {
+    for (size_t cap : {size_t{0}, size_t{64}}) {
+      std::mt19937 rng(GetParam());
+      const std::string what = std::string(StorageModelName(model)) +
+                               " pool " + std::to_string(cap);
+      DataSpreadOptions opts;
+      opts.auto_pump = false;
+      opts.pager.max_resident_pages = cap;
+      DataSpread ds(opts);
+      Sheet* sheet = ds.AddSheet("S").ValueOrDie();
+      int64_t next_id = 0;
+      auto int_or_null = [&]() {
+        return rng() % 6 == 0 ? Value::Null()
+                              : Value::Int(static_cast<int64_t>(rng() % 100));
+      };
+      Table* t = nullptr;
+      auto random_row = [&]() {
+        Row row{Value::Int(next_id++), int_or_null(), int_or_null(),
+                rng() % 5 == 0 ? Value::Null()
+                               : Value::Real((rng() % 1000) / 10.0),
+                Value::Text((rng() % 2 ? "x" : "y") +
+                            std::to_string(rng() % 10))};
+        // The ADD COLUMN step widens the table; new rows fill the column.
+        while (row.size() < t->schema().num_columns()) {
+          row.push_back(int_or_null());
+        }
+        return row;
+      };
+      t = ds.db()
+                     .CreateTable("t",
+                                  Schema({ColumnDef{"id", DataType::kInt, true},
+                                          ColumnDef{"a", DataType::kInt, false},
+                                          ColumnDef{"b", DataType::kInt, false},
+                                          ColumnDef{"r", DataType::kReal, false},
+                                          ColumnDef{"s", DataType::kText, false}}),
+                                  model)
+                     .ValueOrDie();
+      // The window [4, 16) starts clipped at the table's end, so inserts
+      // and deletes grow and shrink it as well as shift it.
+      for (int i = 0; i < 14; ++i) ASSERT_TRUE(t->AppendRow(random_row()).ok());
+      TableBinding* binding =
+          ds.ImportTable("S", "A1", "t", kWindow).ValueOrDie();
+      ASSERT_TRUE(binding->SetWindow(4, kWindow).ok());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        ASSERT_TRUE(ds.SetCellAt(sheet, static_cast<int64_t>(2 * q), kAnchorCol,
+                                 "=DBSQL(\"" + queries[q] + "\")")
+                        .ok());
+      }
+      ds.Pump();
+
+      auto check = [&](int step) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          auto rs = ds.db().Execute(queries[q]);
+          ASSERT_TRUE(rs.ok()) << queries[q];
+          const Row& want = rs.value().rows.at(0);
+          for (size_t c = 0; c < want.size(); ++c) {
+            Value got = ds.GetValueAt(sheet, static_cast<int64_t>(2 * q),
+                                      kAnchorCol + static_cast<int64_t>(c));
+            ASSERT_EQ(got, want[c]) << what << " step " << step << " "
+                                    << queries[q] << " item " << c;
+            ASSERT_EQ(got.type(), want[c].type())
+                << what << " step " << step << " " << queries[q];
+          }
+        }
+        size_t n = t->num_rows();
+        size_t ws = binding->window_start();
+        ASSERT_EQ(binding->window_count(),
+                  std::min(kWindow, n - std::min(ws, n)))
+            << what << " step " << step;
+        std::vector<Row> rows = t->GetWindow(ws, binding->window_count());
+        for (size_t i = 0; i < rows.size(); ++i) {
+          int64_t sheet_row = binding->data_row() + static_cast<int64_t>(ws + i);
+          for (size_t c = 0; c < rows[i].size(); ++c) {
+            ASSERT_EQ(ds.GetValueAt(sheet, sheet_row, static_cast<int64_t>(c)),
+                      rows[i][c])
+                << what << " step " << step << " position " << ws + i
+                << " col " << c;
+          }
+        }
+        // Nothing materialized outside the window.
+        for (size_t p = 0; p < ws + kWindow + 2; ++p) {
+          if (p >= ws && p < ws + binding->window_count()) continue;
+          for (int64_t c = 0; c < 6; ++c) {
+            ASSERT_TRUE(ds.GetValueAt(sheet,
+                                      binding->data_row() +
+                                          static_cast<int64_t>(p),
+                                      c)
+                            .is_null())
+                << what << " step " << step << " position " << p;
+          }
+        }
+      };
+      ASSERT_NO_FATAL_FAILURE(check(-1));
+
+      auto random_pos = [&](size_t n) { return n == 0 ? 0 : rng() % n; };
+      bool in_txn = false;
+      for (int step = 0; step < 90; ++step) {
+        size_t n = t->num_rows();
+        uint32_t kind = rng() % 12;
+        if (kind >= 10) kind = 3;  // inserts outweigh deletes
+        if (step == 45) {
+          ASSERT_TRUE(
+              ds.Sql("ALTER TABLE t ADD COLUMN c INT DEFAULT 3").ok());
+        } else if (kind == 0 && n > 0) {
+          // Front-end edit of a bound a/b cell (NULL via empty input).
+          int64_t row = binding->data_row() +
+                        static_cast<int64_t>(random_pos(n));
+          int64_t col = 1 + static_cast<int64_t>(rng() % 2);
+          std::string input =
+              rng() % 5 == 0 ? "" : std::to_string(rng() % 100);
+          ASSERT_TRUE(ds.SetCellAt(sheet, row, col, input).ok());
+        } else if (kind == 1 && n > 0) {
+          Value key = t->GetAt(random_pos(n), 0).ValueOrDie();
+          ASSERT_TRUE(ds.Sql("UPDATE t SET a = " +
+                             int_or_null().ToSqlLiteral() + " WHERE id = " +
+                             key.ToSqlLiteral())
+                          .ok());
+        } else if (kind == 2) {
+          ASSERT_TRUE(ds.Sql("UPDATE t SET b = b + 7 WHERE a > " +
+                             std::to_string(rng() % 100))
+                          .ok());
+        } else if (kind == 3) {
+          ASSERT_TRUE(t->InsertRowAt(random_pos(n + 1), random_row()).ok());
+        } else if (kind == 4 && n > 0) {
+          ASSERT_TRUE(t->DeleteRowAt(random_pos(n)).ok());
+        } else if (kind == 5) {
+          // Delete the rows holding the current MIN or MAX of a.
+          const char* agg = rng() % 2 ? "MAX" : "MIN";
+          Value extreme =
+              ds.db().Execute(std::string("SELECT ") + agg + "(a) FROM t")
+                  .value()
+                  .rows[0][0];
+          if (!extreme.is_null()) {
+            ASSERT_TRUE(
+                ds.Sql("DELETE FROM t WHERE a = " + extreme.ToSqlLiteral())
+                    .ok());
+          }
+        } else if (kind == 6 && n > 0) {
+          Value key = t->GetAt(random_pos(n), 0).ValueOrDie();
+          ASSERT_TRUE(ds.Sql("UPDATE t SET r = " +
+                             std::to_string((rng() % 1000) / 10.0) +
+                             " WHERE id = " + key.ToSqlLiteral())
+                          .ok());
+        } else if (kind == 7 && !in_txn) {
+          // Open a transaction; the LOCK makes direct Table-API writes
+          // journaled too.
+          ASSERT_TRUE(ds.Sql("BEGIN").ok());
+          ASSERT_TRUE(ds.Sql("LOCK TABLE t").ok());
+          in_txn = true;
+        } else if (kind == 8 && in_txn) {
+          ASSERT_TRUE(ds.Sql(rng() % 3 == 0 ? "COMMIT" : "ROLLBACK").ok());
+          in_txn = false;
+        } else if (kind == 9 && n > 0) {
+          ASSERT_TRUE(t->UpdateAt(random_pos(n), 2, int_or_null()).ok());
+        }
+        if (step == 44 && in_txn) {
+          ASSERT_TRUE(ds.Sql("ROLLBACK").ok());  // DDL needs no open txn
+          in_txn = false;
+        }
+        ds.Pump();
+        ASSERT_NO_FATAL_FAILURE(check(step));
+      }
+      if (in_txn) {
+        ASSERT_TRUE(ds.Sql("ROLLBACK").ok());
+        ds.Pump();
+        ASSERT_NO_FATAL_FAILURE(check(90));
+      }
+      // The tape exercised both the maintained path and the fallback.
+      EXPECT_GT(ds.interface_manager().dbsql_cache_hits(), 0u) << what;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSyncTest,
+                         ::testing::Values(13u, 1313u, 131313u));
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrentTxnEquivalenceTest,
                          ::testing::Values(12u, 1212u, 121212u));
 

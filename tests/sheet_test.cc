@@ -131,6 +131,31 @@ TEST(SheetTest, StructuralOpsAreFastOnHugeSheets) {
   EXPECT_EQ(s.GetValue(1001000, 0), Value::Int(1));
 }
 
+TEST(SheetTest, ScrollingWindowReusesEmptiedTiles) {
+  // A 64-row x 4-col window sliding down 20k rows, the way a bound pane
+  // materializes: write the new rows, clear the ones that left. Emptied
+  // tiles return to a free list, so the slot count stays at what the
+  // window covers at once instead of growing with every tile ever touched.
+  Sheet s("S");
+  constexpr int64_t kWindow = 64, kCols = 4, kStep = 16;
+  for (int64_t top = 0; top < 20000; top += kStep) {
+    for (int64_t r = top; r < top + kWindow; ++r) {
+      for (int64_t c = 0; c < kCols; ++c) {
+        ASSERT_TRUE(s.SetValue(r, c, Value::Int(r)).ok());
+      }
+    }
+    if (top >= kStep) {
+      for (int64_t r = top - kStep; r < top; ++r) {
+        for (int64_t c = 0; c < kCols; ++c) ASSERT_TRUE(s.ClearCell(r, c).ok());
+      }
+    }
+  }
+  EXPECT_EQ(s.cell_count(), static_cast<size_t>(kWindow * kCols));
+  EXPECT_LE(s.tile_slots(), 4u);  // a 64-row span straddles at most 3 tiles
+  EXPECT_EQ(s.GetValue(20000 - kStep, 0), Value::Int(20000 - kStep));
+  EXPECT_TRUE(s.GetValue(0, 0).is_null());
+}
+
 TEST(SheetTest, EventsEmitted) {
   Sheet s("S");
   std::vector<SheetEvent> events;

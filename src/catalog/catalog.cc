@@ -56,6 +56,8 @@ Status Catalog::DropTable(std::string_view name) {
   // Release retention (a no-op for scratch tables): an explicit drop must
   // deallocate the pager files the durable mode would otherwise keep.
   it->second->set_retain_files(false);
+  // Listeners (bound sheet regions) let go of the table before it dies.
+  it->second->NotifyDropped();
   tables_.erase(it);
   creation_order_.erase(
       std::remove(creation_order_.begin(), creation_order_.end(), key),

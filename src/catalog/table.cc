@@ -426,13 +426,13 @@ Status Table::UpdateAt(size_t pos, size_t col, Value v) {
       return Status::ConstraintViolation("PRIMARY KEY of " + name_ +
                                          " may not be NULL");
     }
-    auto it = pk_to_rid_.find(coerced);
-    if (it != pk_to_rid_.end() && it->second != rid) {
+    std::optional<uint64_t> clash = RidOfKey(coerced);
+    if (clash.has_value() && *clash != rid) {
       return Status::ConstraintViolation("duplicate PRIMARY KEY " +
                                          coerced.ToSqlLiteral() + " in " + name_);
     }
-    pk_to_rid_.erase(before);
-    pk_to_rid_[coerced] = rid;
+    pk_index_.Erase(KeyIndex::HashOf(before), rid);
+    pk_index_.Insert(KeyIndex::HashOf(coerced), rid);
   }
   DS_RETURN_IF_ERROR(storage_->Set(SlotOf(rid), col, coerced));
   txn.Commit();
@@ -468,7 +468,7 @@ Status Table::InsertRowAtWithRid(size_t pos, Row row, uint64_t rid) {
       return Status::ConstraintViolation("PRIMARY KEY of " + name_ +
                                          " may not be NULL");
     }
-    if (pk_to_rid_.count(row[*pk]) > 0) {
+    if (RidOfKey(row[*pk]).has_value()) {
       return Status::ConstraintViolation("duplicate PRIMARY KEY " +
                                          row[*pk].ToSqlLiteral() + " in " + name_);
     }
@@ -514,7 +514,7 @@ Status Table::InsertRowAtWithRid(size_t pos, Row row, uint64_t rid) {
   if (slot_to_rid_.size() <= slot) slot_to_rid_.resize(slot + 1);
   slot_to_rid_[slot] = rid;
   DS_RETURN_IF_ERROR(order_.InsertAt(pos, rid));
-  if (pk) pk_to_rid_[row[*pk]] = rid;
+  if (pk) pk_index_.Insert(KeyIndex::HashOf(row[*pk]), rid);
   txn.Commit();
   if (undo_ != nullptr) {
     undo_->entries.push_back(
@@ -546,7 +546,7 @@ Status Table::DeleteRowAt(size_t pos) {
   auto pk = schema_.primary_key_index();
   if (pk) {
     DS_ASSIGN_OR_RETURN(Value key, storage_->Get(slot, *pk));
-    pk_to_rid_.erase(key);
+    pk_index_.Erase(KeyIndex::HashOf(key), rid);
   }
   size_t n = order_.size();
   if (durable() && storage_->model() == StorageModel::kRcv && slot != n - 1) {
@@ -654,22 +654,30 @@ Result<size_t> Table::FindByKey(const Value& key) const {
   if (!pk) {
     return Status::InvalidArgument("table " + name_ + " has no PRIMARY KEY");
   }
-  auto it = pk_to_rid_.find(key);
-  if (it == pk_to_rid_.end()) {
+  std::optional<uint64_t> rid = RidOfKey(key);
+  if (!rid.has_value()) {
     return Status::NotFound("no row with key " + key.ToSqlLiteral() + " in " +
                             name_);
   }
-  // Recover the display position by scanning the order index (positions are
-  // not tracked per-row because middle inserts would shift all of them).
-  uint64_t target = it->second;
-  size_t found = order_.size();
-  order_.Visit(0, order_.size(), [&](size_t pos, uint64_t rid) {
-    if (rid == target && found == order_.size()) found = pos;
-  });
-  if (found == order_.size()) {
+  auto pos = order_.PositionOf(*rid);
+  if (!pos.ok()) {
     return Status::Internal("pk index points at a row missing from the order");
   }
-  return found;
+  return pos;
+}
+
+std::optional<uint64_t> Table::RidOfKey(const Value& key) const {
+  size_t pk = *schema_.primary_key_index();
+  return pk_index_.Find(KeyIndex::HashOf(key), [&](uint64_t rid) {
+    auto stored = storage_->Get(SlotOf(rid), pk);
+    return stored.ok() && stored.value() == key;
+  });
+}
+
+void Table::ReserveRows(size_t rows) {
+  rid_to_slot_.reserve(rows);
+  slot_to_rid_.reserve(rows);
+  if (schema_.primary_key_index()) pk_index_.Reserve(rows);
 }
 
 Result<Row> Table::GetRowByKey(const Value& key) const {
@@ -677,12 +685,12 @@ Result<Row> Table::GetRowByKey(const Value& key) const {
   if (!pk) {
     return Status::InvalidArgument("table " + name_ + " has no PRIMARY KEY");
   }
-  auto it = pk_to_rid_.find(key);
-  if (it == pk_to_rid_.end()) {
+  std::optional<uint64_t> rid = RidOfKey(key);
+  if (!rid.has_value()) {
     return Status::NotFound("no row with key " + key.ToSqlLiteral() + " in " +
                             name_);
   }
-  return storage_->GetRow(SlotOf(it->second));
+  return storage_->GetRow(SlotOf(*rid));
 }
 
 Status Table::UpdateByKey(const Value& key, size_t col, Value v) {
@@ -693,12 +701,12 @@ Status Table::UpdateByKey(const Value& key, size_t col, Value v) {
   if (col >= schema_.num_columns()) {
     return Status::OutOfRange("column " + std::to_string(col));
   }
-  auto it = pk_to_rid_.find(key);
-  if (it == pk_to_rid_.end()) {
+  std::optional<uint64_t> found = RidOfKey(key);
+  if (!found.has_value()) {
     return Status::NotFound("no row with key " + key.ToSqlLiteral() + " in " +
                             name_);
   }
-  uint64_t rid = it->second;
+  uint64_t rid = *found;
   DS_ASSIGN_OR_RETURN(Value coerced, CoerceForColumn(std::move(v), col));
   DS_ASSIGN_OR_RETURN(Value before, storage_->Get(SlotOf(rid), col));
   storage::StatementScope txn(storage_->pager(), write_txn_);
@@ -707,13 +715,13 @@ Status Table::UpdateByKey(const Value& key, size_t col, Value v) {
       return Status::ConstraintViolation("PRIMARY KEY of " + name_ +
                                          " may not be NULL");
     }
-    auto clash = pk_to_rid_.find(coerced);
-    if (clash != pk_to_rid_.end() && clash->second != rid) {
+    std::optional<uint64_t> clash = RidOfKey(coerced);
+    if (clash.has_value() && *clash != rid) {
       return Status::ConstraintViolation("duplicate PRIMARY KEY " +
                                          coerced.ToSqlLiteral() + " in " + name_);
     }
-    pk_to_rid_.erase(key);
-    pk_to_rid_[coerced] = rid;
+    pk_index_.Erase(KeyIndex::HashOf(before), rid);
+    pk_index_.Insert(KeyIndex::HashOf(coerced), rid);
   }
   DS_RETURN_IF_ERROR(storage_->Set(SlotOf(rid), col, coerced));
   txn.Commit();
@@ -756,8 +764,10 @@ Status Table::UndoUpdateCell(uint64_t rid, size_t col, Value old_value) {
   storage::StatementScope txn(storage_->pager(), write_txn_);
   auto pk = schema_.primary_key_index();
   if (pk && *pk == col) {
-    pk_to_rid_.erase(current);
-    if (!old_value.is_null()) pk_to_rid_[old_value] = rid;
+    pk_index_.Erase(KeyIndex::HashOf(current), rid);
+    if (!old_value.is_null()) {
+      pk_index_.Insert(KeyIndex::HashOf(old_value), rid);
+    }
   }
   DS_RETURN_IF_ERROR(storage_->Set(slot, col, old_value));
   txn.Commit();
@@ -808,7 +818,7 @@ Status Table::DropColumn(std::string_view column_name) {
   storage::CheckpointDeferral no_checkpoint(storage_->pager());
   DS_RETURN_IF_ERROR(storage_->DropColumn(*idx));
   DS_RETURN_IF_ERROR(schema_.RemoveColumn(*idx));
-  if (was_pk) pk_to_rid_.clear();
+  if (was_pk) pk_index_.Clear();
   LogDdl(storage::WalRecordType::kDropColumn);
   Notify(TableChange(TableChange::Kind::kSchema, 0, *idx));
   return Status::OK();
@@ -859,14 +869,17 @@ void Table::Notify(TableChange change) {
   }
 }
 
+void Table::NotifyDropped() { Notify(TableChange(TableChange::Kind::kDrop)); }
+
 void Table::RebuildPkIndex() {
-  pk_to_rid_.clear();
+  pk_index_.Clear();
   auto pk = schema_.primary_key_index();
   if (!pk) return;
-  order_.Visit(0, order_.size(), [&](size_t, uint64_t rid) {
-    auto v = storage_->Get(SlotOf(rid), *pk);
-    if (v.ok()) pk_to_rid_[v.value()] = rid;
-  });
+  pk_index_.Reserve(slot_to_rid_.size());
+  for (size_t slot = 0; slot < slot_to_rid_.size(); ++slot) {
+    auto v = storage_->Get(slot, *pk);
+    if (v.ok()) pk_index_.Insert(KeyIndex::HashOf(v.value()), slot_to_rid_[slot]);
+  }
 }
 
 }  // namespace dataspread

@@ -3,14 +3,15 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog_codec.h"
 #include "catalog/schema.h"
 #include "catalog/undo_journal.h"
 #include "common/result.h"
+#include "index/key_index.h"
 #include "index/positional_index.h"
 #include "storage/table_storage.h"
 #include "types/value.h"
@@ -35,6 +36,7 @@ struct TableChange {
     kUpdate,   ///< cell (`rid`, `column`) changed `old_value` -> `new_value`
     kSchema,   ///< columns added/dropped/renamed
     kBulk,     ///< many rows changed at once (storage reorganization)
+    kDrop,     ///< the table is being dropped; it is destroyed right after
   };
   explicit TableChange(Kind k, size_t pos = 0, size_t col = 0)
       : kind(k), position(pos), column(col) {}
@@ -52,8 +54,10 @@ struct TableChange {
 /// A relational table that is *interface-aware*: besides schema + storage it
 /// maintains
 ///   - a display order over rows through a PositionalIndex (the N-th row of
-///     the table as presented on a sheet is O(log n) away),
-///   - an optional primary-key hash index (the key↔position machinery),
+///     the table as presented on a sheet is O(log n) away, and so is the
+///     position of a given row),
+///   - an optional primary-key hash index (with the order's row locator,
+///     the key↔position machinery: DESIGN.md §10),
 ///   - a monotonically increasing version and change listeners.
 ///
 /// Rows are identified internally by stable row ids; the positional index
@@ -169,8 +173,8 @@ class Table {
   // ---- Primary key ----------------------------------------------------------
 
   /// Display position of the row whose PK equals `key`, if the table has a PK.
-  /// O(n): position recovery scans the order index; prefer the key-direct
-  /// accessors below on hot paths.
+  /// O(log n): a PK probe, then the order index's row locator
+  /// (PositionalIndex::PositionOf).
   Result<size_t> FindByKey(const Value& key) const;
 
   /// Whole tuple with PK equal to `key`; O(1) expected (hash index).
@@ -181,6 +185,10 @@ class Table {
   /// mapping. Emits a rid-addressed kUpdate change (the position is not
   /// computed).
   Status UpdateByKey(const Value& key, size_t col, Value v);
+
+  /// Sizes the row maps and the PK index for `rows` rows, so a bulk load
+  /// of that many rows never rehashes (import paths call it up front).
+  void ReserveRows(size_t rows);
 
   // ---- Schema changes (the paper's "as efficient as tuple updates") ---------
 
@@ -229,6 +237,9 @@ class Table {
   /// Registers a listener; returns a token for RemoveListener.
   int AddListener(Listener listener);
   void RemoveListener(int token);
+  /// Announces a kDrop change: the catalog calls it just before it destroys
+  /// the table, so listeners can let go of it.
+  void NotifyDropped();
 
  private:
   Table(std::string name, Schema schema, std::unique_ptr<TableStorage> storage);
@@ -240,6 +251,9 @@ class Table {
   /// `next_rid_`.
   Status InsertRowAtWithRid(size_t pos, Row row, uint64_t rid);
   size_t SlotOf(uint64_t rid) const { return rid_to_slot_[rid]; }
+  /// Row id of the row whose PK equals `key` (the table has a PK): a hash
+  /// probe, each hash match confirmed by reading the key from storage.
+  std::optional<uint64_t> RidOfKey(const Value& key) const;
   void Notify(TableChange change);
   /// Journals (under a transaction) and announces a cell update of row
   /// `rid`: the undo entry and the kUpdate delta share the before-image.
@@ -263,10 +277,11 @@ class Table {
   std::string name_;
   Schema schema_;
   std::unique_ptr<TableStorage> storage_;
-  PositionalIndex order_;                 // display position -> row id
+  // display position -> row id, and row id -> position (row locator)
+  PositionalIndex order_{PositionalIndex::kLocatePayloads};
   std::vector<size_t> rid_to_slot_;       // row id -> storage slot
   std::vector<uint64_t> slot_to_rid_;     // storage slot -> row id
-  std::unordered_map<Value, uint64_t, ValueHash> pk_to_rid_;
+  KeyIndex pk_index_;                     // PK hash -> row id
   uint64_t next_rid_ = 0;
   uint64_t version_ = 0;
   uint64_t incarnation_;

@@ -17,7 +17,7 @@ TableBinding::TableBinding(int id, Sheet* sheet, int64_t anchor_row,
 
 bool TableBinding::ContainsCell(const Sheet* sheet, int64_t row,
                                 int64_t col) const {
-  if (sheet != sheet_) return false;
+  if (sheet != sheet_ || table_ == nullptr) return false;
   if (col < anchor_col_ ||
       col >= anchor_col_ + static_cast<int64_t>(table_->schema().num_columns())) {
     return false;
@@ -27,6 +27,7 @@ bool TableBinding::ContainsCell(const Sheet* sheet, int64_t row,
 }
 
 Status TableBinding::WriteHeader() {
+  if (table_ == nullptr) return Status::OK();
   const Schema& schema = table_->schema();
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     int64_t col = anchor_col_ + static_cast<int64_t>(c);
@@ -68,15 +69,16 @@ Status TableBinding::ClearRows(size_t start, size_t count) {
 }
 
 Status TableBinding::SetWindow(size_t start, size_t count) {
+  if (table_ == nullptr) return Status::OK();
   if (count == 0) count = default_window_;
   requested_count_ = count;
   size_t n = table_->num_rows();
   start = std::min(start, n);
   count = std::min(count, n - start);
+  size_t old_lo = window_start_, old_hi = window_start_ + window_count_;
+  size_t new_lo = start, new_hi = start + count;
   // Clear the parts of the old span not covered by the new one.
   if (window_count_ > 0) {
-    size_t old_lo = window_start_, old_hi = window_start_ + window_count_;
-    size_t new_lo = start, new_hi = start + count;
     if (old_lo < new_lo) {
       DS_RETURN_IF_ERROR(ClearRows(old_lo, std::min(old_hi, new_lo) - old_lo));
     }
@@ -85,15 +87,30 @@ Status TableBinding::SetWindow(size_t start, size_t count) {
       DS_RETURN_IF_ERROR(ClearRows(from, old_hi - from));
     }
   }
+  // Rows in both spans are already on the sheet and current unless a delta
+  // is pending: keep them (shifting their row ids) and write only the rows
+  // that enter the window.
+  size_t keep_lo = std::max(old_lo, new_lo), keep_hi = std::min(old_hi, new_hi);
+  bool pending =
+      pending_full_ || pending_from_ != kNoShift || !pending_cells_.empty();
+  if (pending || keep_lo >= keep_hi) keep_lo = keep_hi = new_lo;
+  std::vector<uint64_t> rids(count, 0);
+  if (keep_lo < keep_hi) {
+    std::copy(window_rids_.begin() + static_cast<ptrdiff_t>(keep_lo - old_lo),
+              window_rids_.begin() + static_cast<ptrdiff_t>(keep_hi - old_lo),
+              rids.begin() + static_cast<ptrdiff_t>(keep_lo - new_lo));
+  }
+  window_rids_ = std::move(rids);
   window_start_ = start;
   window_count_ = count;
-  window_rids_.assign(count, 0);
   ClearPending();
   refreshes_ += 1;
-  return WriteRows(start, count);
+  DS_RETURN_IF_ERROR(WriteRows(new_lo, keep_lo - new_lo));
+  return WriteRows(keep_hi, new_hi - keep_hi);
 }
 
 Status TableBinding::RefreshWindow() {
+  if (table_ == nullptr) return Status::OK();
   size_t n = table_->num_rows();
   size_t start = std::min(window_start_, n);
   // Refresh the *configured* span, not the previously materialized one, so
@@ -114,6 +131,7 @@ Status TableBinding::RefreshWindow() {
 }
 
 Status TableBinding::ClearMaterialized() {
+  if (table_ == nullptr) return Status::OK();  // Detach already cleared
   const Schema& schema = table_->schema();
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     int64_t col = anchor_col_ + static_cast<int64_t>(c);
@@ -126,6 +144,11 @@ Status TableBinding::ClearMaterialized() {
   window_rids_.clear();
   ClearPending();
   return Status::OK();
+}
+
+void TableBinding::Detach() {
+  (void)ClearMaterialized();
+  table_ = nullptr;
 }
 
 void TableBinding::ClearPending() {
@@ -158,6 +181,7 @@ bool TableBinding::NoteChange(const TableChange& change) {
       return true;
     case TableChange::Kind::kSchema:
     case TableChange::Kind::kBulk:
+    case TableChange::Kind::kDrop:
       break;
   }
   pending_full_ = true;
@@ -165,6 +189,7 @@ bool TableBinding::NoteChange(const TableChange& change) {
 }
 
 Status TableBinding::RefreshPending() {
+  if (table_ == nullptr) return Status::OK();
   if (pending_full_) return RefreshWindow();
   if (pending_from_ == kNoShift && pending_cells_.empty()) return Status::OK();
   std::vector<std::pair<uint64_t, size_t>> cells;

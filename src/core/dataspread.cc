@@ -182,6 +182,7 @@ Result<Table*> DataSpread::ImportCsvAsTable(std::string_view csv_text,
     schema = Schema(std::move(cols));
   }
   DS_ASSIGN_OR_RETURN(Table * table, db_.CreateTable(table_name, schema));
+  table->ReserveRows(inferred.rows.size());
   for (Row& row : inferred.rows) {
     Status s = table->AppendRow(std::move(row));
     if (!s.ok()) {

@@ -134,6 +134,7 @@ Result<Table*> InterfaceManager::CreateTableFromRange(
     schema = Schema(std::move(cols));
   }
   DS_ASSIGN_OR_RETURN(Table * table, db_->CreateTable(table_name, schema));
+  table->ReserveRows(inferred.rows.size());
   for (Row& row : inferred.rows) {
     Status s = table->AppendRow(std::move(row));
     if (!s.ok()) {
@@ -174,6 +175,13 @@ Status InterfaceManager::Unbind(int binding_id) {
   return Status::NotFound("no binding with id " + std::to_string(binding_id));
 }
 
+TableBinding* InterfaceManager::FindBinding(int binding_id) const {
+  for (const auto& b : bindings_) {
+    if (b->id() == binding_id) return b.get();
+  }
+  return nullptr;
+}
+
 TableBinding* InterfaceManager::FindBindingAt(const Sheet* sheet, int64_t row,
                                               int64_t col) const {
   for (const auto& b : bindings_) {
@@ -209,6 +217,16 @@ void InterfaceManager::OnTableChanged(const std::string& table_name,
   for (const auto& b : bindings_) {
     if (b->table() != change.table) continue;
     TableBinding* raw = b.get();
+    if (change.kind == TableChange::Kind::kDrop) {
+      // The table dies right after this callback: let go of it now, and let
+      // the `=DBTABLE` anchor re-evaluate (it rebinds or reports #NAME?).
+      raw->Detach();
+      engine_->MarkDirty(raw->sheet(), raw->anchor_row(), raw->anchor_col());
+      formula::FormulaEngine* engine = engine_;
+      scheduler_->EnqueueUnique(Priority::kNear, "recalc-dirty",
+                                [engine]() { (void)engine->RecalcDirty(); });
+      continue;
+    }
     if (!raw->NoteChange(change)) continue;
     int64_t r0 = raw->anchor_row();
     int64_t r1 = raw->data_row() + static_cast<int64_t>(raw->window_count());
@@ -219,7 +237,9 @@ void InterfaceManager::OnTableChanged(const std::string& table_name,
     scheduler_->EnqueueUnique(
         visible ? Priority::kVisible : Priority::kBackground,
         "binding-refresh-" + std::to_string(raw->id()),
-        [raw]() { (void)raw->RefreshPending(); });
+        [this, id = raw->id()]() {
+          if (TableBinding* b = FindBinding(id)) (void)b->RefreshPending();
+        });
   }
   // 2. Maintained aggregates fold the delta, so their anchors hit the cache.
   if (maintained_.count(key) > 0) FoldIntoMaintained(key, change);
@@ -480,7 +500,8 @@ Value InterfaceManager::EvaluateDbtable(Sheet* sheet, int64_t row, int64_t col,
   for (const auto& b : bindings_) {
     if (b->sheet() == sheet && b->anchor_row() == row &&
         b->anchor_col() == col) {
-      if (EqualsIgnoreCase(b->table()->name(), table_name)) {
+      if (b->table() != nullptr &&
+          EqualsIgnoreCase(b->table()->name(), table_name)) {
         (void)b->RefreshWindow();
         (void)b->WriteHeader();
         return Value::Text(b->table()->schema().num_columns() > 0

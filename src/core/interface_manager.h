@@ -64,6 +64,10 @@ class InterfaceManager : public formula::ExternalFormulaHandler {
   const std::vector<std::unique_ptr<TableBinding>>& bindings() const {
     return bindings_;
   }
+  /// The binding with `binding_id`, or nullptr once it is unbound. Queued
+  /// tasks look their binding up through here instead of holding a pointer
+  /// an Unbind could free.
+  TableBinding* FindBinding(int binding_id) const;
 
   // ---- Two-way sync: front-end half ----
 

@@ -120,6 +120,7 @@ bool MaintainedAggregate::Apply(const TableChange& change) {
     }
     case TableChange::Kind::kSchema:
     case TableChange::Kind::kBulk:
+    case TableChange::Kind::kDrop:
       break;
   }
   return false;

@@ -25,7 +25,7 @@ void WindowManager::SetViewport(const Viewport& viewport) {
   // a task so a background worker can overlap it with interaction.
   for (const auto& binding : interface_manager_->bindings()) {
     TableBinding* b = binding.get();
-    if (b->sheet() != viewport_.sheet) continue;
+    if (b->sheet() != viewport_.sheet || b->table() == nullptr) continue;
     int64_t region_c0 = b->anchor_col();
     int64_t region_c1 =
         b->anchor_col() +
@@ -47,9 +47,11 @@ void WindowManager::SetViewport(const Viewport& viewport) {
     }
     scheduler_->EnqueueUnique(
         Priority::kVisible, "binding-window-" + std::to_string(b->id()),
-        [b, start, count]() {
-          (void)b->SetWindow(static_cast<size_t>(start),
-                             static_cast<size_t>(count));
+        [im = interface_manager_, id = b->id(), start, count]() {
+          if (TableBinding* target = im->FindBinding(id)) {
+            (void)target->SetWindow(static_cast<size_t>(start),
+                                    static_cast<size_t>(count));
+          }
         });
   }
 

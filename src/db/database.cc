@@ -46,6 +46,26 @@ void CollectTableNames(const sql::SelectStmt& stmt,
   }
 }
 
+/// The literal of a bound `WHERE <pk> = <literal>` (either side), or null:
+/// the shape the key-direct UPDATE and DELETE paths serve with one PK probe
+/// instead of a table scan.
+const Value* KeyLiteral(const Table& table, const sql::Expr* where) {
+  auto pk = table.schema().primary_key_index();
+  if (!pk || where == nullptr || where->kind != sql::ExprKind::kBinary ||
+      where->op != "=") {
+    return nullptr;
+  }
+  const sql::Expr* lhs = where->args[0].get();
+  const sql::Expr* rhs = where->args[1].get();
+  if (rhs->kind == sql::ExprKind::kColumnRef) std::swap(lhs, rhs);
+  if (lhs->kind != sql::ExprKind::kColumnRef ||
+      lhs->bound_column != static_cast<int>(*pk) ||
+      rhs->kind != sql::ExprKind::kLiteral) {
+    return nullptr;
+  }
+  return &rhs->literal;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -725,53 +745,45 @@ Result<ResultSet> Database::ExecuteUpdate(Session& session,
 
   // Key-direct fast path: `WHERE <pk> = <literal>` skips the table scan —
   // the interface-aware point update driving Figure 2c edits.
-  auto pk = table->schema().primary_key_index();
-  if (pk && stmt.where != nullptr &&
-      stmt.where->kind == sql::ExprKind::kBinary && stmt.where->op == "=") {
-    const sql::Expr* lhs = stmt.where->args[0].get();
-    const sql::Expr* rhs = stmt.where->args[1].get();
-    if (rhs->kind == sql::ExprKind::kColumnRef) std::swap(lhs, rhs);
-    if (lhs->kind == sql::ExprKind::kColumnRef &&
-        lhs->bound_column == static_cast<int>(*pk) &&
-        rhs->kind == sql::ExprKind::kLiteral) {
-      auto row = table->GetRowByKey(rhs->literal);
-      ResultSet rs;
-      if (!row.ok()) {
-        if (row.status().code() == StatusCode::kNotFound) {
-          rs.affected_rows = 0;
-          session.last_commit_end_lsn_ = guard.Commit();
-          return rs;
-        }
-        return row.status();
+  if (const Value* literal = KeyLiteral(*table, stmt.where.get())) {
+    const size_t pk = *table->schema().primary_key_index();
+    auto row = table->GetRowByKey(*literal);
+    ResultSet rs;
+    if (!row.ok()) {
+      if (row.status().code() == StatusCode::kNotFound) {
+        rs.affected_rows = 0;
+        session.last_commit_end_lsn_ = guard.Commit();
+        return rs;
       }
-      // Evaluate all assignments against the fetched row, then apply with
-      // rollback on a mid-statement failure.
-      std::vector<Value> new_values, old_values;
-      Value key = rhs->literal;
-      for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-        DS_ASSIGN_OR_RETURN(Value v,
-                            EvalScalar(*stmt.assignments[i].second,
-                                       &row.value()));
-        new_values.push_back(std::move(v));
-        old_values.push_back(row.value()[target_cols[i]]);
-      }
-      storage::StatementScope txn(pager_, guard.txn());
-      for (size_t i = 0; i < new_values.size(); ++i) {
-        Status s = table->UpdateByKey(key, target_cols[i], new_values[i]);
-        if (target_cols[i] == *pk && s.ok()) key = new_values[i];
-        if (!s.ok()) {
-          for (size_t j = i; j-- > 0;) {
-            (void)table->UpdateByKey(key, target_cols[j], old_values[j]);
-            if (target_cols[j] == *pk) key = old_values[j];
-          }
-          return s;  // the scope + guard close the bracket with kTxnAbort
-        }
-      }
-      (void)txn.Commit();
-      session.last_commit_end_lsn_ = guard.Commit();
-      rs.affected_rows = 1;
-      return rs;
+      return row.status();
     }
+    // Evaluate all assignments against the fetched row, then apply with
+    // rollback on a mid-statement failure.
+    std::vector<Value> new_values, old_values;
+    Value key = *literal;
+    for (size_t i = 0; i < stmt.assignments.size(); ++i) {
+      DS_ASSIGN_OR_RETURN(Value v,
+                          EvalScalar(*stmt.assignments[i].second,
+                                     &row.value()));
+      new_values.push_back(std::move(v));
+      old_values.push_back(row.value()[target_cols[i]]);
+    }
+    storage::StatementScope txn(pager_, guard.txn());
+    for (size_t i = 0; i < new_values.size(); ++i) {
+      Status s = table->UpdateByKey(key, target_cols[i], new_values[i]);
+      if (target_cols[i] == pk && s.ok()) key = new_values[i];
+      if (!s.ok()) {
+        for (size_t j = i; j-- > 0;) {
+          (void)table->UpdateByKey(key, target_cols[j], old_values[j]);
+          if (target_cols[j] == pk) key = old_values[j];
+        }
+        return s;  // the scope + guard close the bracket with kTxnAbort
+      }
+    }
+    (void)txn.Commit();
+    session.last_commit_end_lsn_ = guard.Commit();
+    rs.affected_rows = 1;
+    return rs;
   }
 
   // Phase 1: evaluate all updates against the pre-statement state.
@@ -843,6 +855,25 @@ Result<ResultSet> Database::ExecuteDelete(Session& session,
     DS_RETURN_IF_ERROR(BindExpr(stmt.where.get(), scope, resolver,
                                 /*allow_aggregates=*/false));
   }
+
+  // Key-direct fast path, as for UPDATE: `WHERE <pk> = <literal>` deletes
+  // the one row a PK probe finds, no table scan.
+  if (const Value* literal = KeyLiteral(*table, stmt.where.get())) {
+    auto pos = table->FindByKey(*literal);
+    if (!pos.ok() && pos.status().code() != StatusCode::kNotFound) {
+      return pos.status();
+    }
+    ResultSet rs;
+    if (pos.ok()) {
+      storage::StatementScope txn(pager_, guard.txn());
+      DS_RETURN_IF_ERROR(table->DeleteRowAt(pos.value()));
+      (void)txn.Commit();
+      rs.affected_rows = 1;
+    }
+    session.last_commit_end_lsn_ = guard.Commit();
+    return rs;
+  }
+
   std::vector<size_t> positions;
   Status scan_status = Status::OK();
   table->Scan([&](size_t pos, const Row& row) {

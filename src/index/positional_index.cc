@@ -1,7 +1,7 @@
 #include "index/positional_index.h"
 
 #include <algorithm>
-#include <cassert>
+#include <numeric>
 
 namespace dataspread {
 
@@ -12,11 +12,40 @@ constexpr size_t kLeafMin = kLeafCap / 4;
 constexpr size_t kFanoutMin = kFanout / 4;
 }  // namespace
 
+/// A leaf holds payloads. An internal node holds its children and, in a
+/// parallel array, the element count under each: navigation and PositionOf
+/// sum one contiguous array instead of visiting every sibling node.
 struct PositionalIndex::Node {
   bool leaf = true;
-  size_t count = 0;  // elements in this subtree
-  std::vector<uint64_t> values;               // leaf payloads
+  Node* parent = nullptr;                       // null at the root
+  std::vector<uint64_t> values;                 // leaf payloads
   std::vector<std::unique_ptr<Node>> children;  // internal children
+  std::vector<size_t> counts;                   // elements under children[i]
+
+  /// Entries held: payloads of a leaf, children of an internal node.
+  size_t size() const { return leaf ? values.size() : children.size(); }
+  /// Elements in this subtree.
+  size_t Count() const {
+    return leaf ? values.size()
+                : std::accumulate(counts.begin(), counts.end(), size_t{0});
+  }
+  /// Index of the child holding position `*pos`, which is rebased into that
+  /// child. With `at_end` a position equal to a child's count stays in the
+  /// child (the insert rule: appends go to the rightmost leaf).
+  size_t ChildFor(size_t* pos, bool at_end) const {
+    size_t i = 0;
+    for (; i + 1 < counts.size(); ++i) {
+      if (*pos < counts[i] || (at_end && *pos == counts[i])) break;
+      *pos -= counts[i];
+    }
+    return i;
+  }
+  /// Appends `child` with its subtree count.
+  void Adopt(std::unique_ptr<Node> child, size_t count) {
+    child->parent = this;
+    children.push_back(std::move(child));
+    counts.push_back(count);
+  }
 
   static std::unique_ptr<Node> Leaf() {
     auto n = std::make_unique<Node>();
@@ -34,7 +63,8 @@ struct PositionalIndex::InsertOutcome {
   std::unique_ptr<Node> split;  // right sibling if the node overflowed
 };
 
-PositionalIndex::PositionalIndex() : root_(Node::Leaf()) {}
+PositionalIndex::PositionalIndex(Mode mode)
+    : root_(Node::Leaf()), locate_(mode == kLocatePayloads) {}
 PositionalIndex::~PositionalIndex() = default;
 PositionalIndex::PositionalIndex(PositionalIndex&&) noexcept = default;
 PositionalIndex& PositionalIndex::operator=(PositionalIndex&&) noexcept = default;
@@ -45,15 +75,7 @@ Result<uint64_t> PositionalIndex::Get(size_t pos) const {
                               std::to_string(size_));
   }
   const Node* node = root_.get();
-  while (!node->leaf) {
-    for (const auto& child : node->children) {
-      if (pos < child->count) {
-        node = child.get();
-        break;
-      }
-      pos -= child->count;
-    }
-  }
+  while (!node->leaf) node = node->children[node->ChildFor(&pos, false)].get();
   return node->values[pos];
 }
 
@@ -63,59 +85,87 @@ Status PositionalIndex::Set(size_t pos, uint64_t payload) {
                               std::to_string(size_));
   }
   Node* node = root_.get();
-  while (!node->leaf) {
-    for (const auto& child : node->children) {
-      if (pos < child->count) {
-        node = child.get();
-        break;
-      }
-      pos -= child->count;
+  while (!node->leaf) node = node->children[node->ChildFor(&pos, false)].get();
+  if (locate_) leaf_of_[node->values[pos]] = nullptr;
+  node->values[pos] = payload;
+  if (locate_) Locate(node, pos, pos + 1);
+  return Status::OK();
+}
+
+void PositionalIndex::Locate(Node* leaf, size_t from, size_t to) {
+  if (!locate_) return;
+  to = std::min(to, leaf->values.size());
+  for (size_t k = from; k < to; ++k) {
+    uint64_t payload = leaf->values[k];
+    if (payload >= leaf_of_.size()) leaf_of_.resize(payload + 1, nullptr);
+    leaf_of_[payload] = leaf;
+  }
+}
+
+Result<size_t> PositionalIndex::PositionOf(uint64_t payload) const {
+  if (!locate_) {
+    return Status::InvalidArgument(
+        "PositionOf needs an index built with kLocatePayloads");
+  }
+  if (payload >= leaf_of_.size() || leaf_of_[payload] == nullptr) {
+    return Status::NotFound("payload " + std::to_string(payload) +
+                            " is not in the index");
+  }
+  const Node* node = leaf_of_[payload];
+  auto it = std::find(node->values.begin(), node->values.end(), payload);
+  if (it == node->values.end()) {
+    return Status::Internal("positional locator points at the wrong leaf");
+  }
+  size_t pos = static_cast<size_t>(it - node->values.begin());
+  // Climb to the root: every left sibling on the way precedes the payload.
+  for (const Node* parent = node->parent; parent != nullptr;
+       node = parent, parent = parent->parent) {
+    for (size_t k = 0; parent->children[k].get() != node; ++k) {
+      pos += parent->counts[k];
     }
   }
-  node->values[pos] = payload;
-  return Status::OK();
+  return pos;
 }
 
 PositionalIndex::InsertOutcome PositionalIndex::InsertRec(Node* node, size_t pos,
                                                           uint64_t payload) {
-  node->count += 1;
   if (node->leaf) {
     node->values.insert(node->values.begin() + static_cast<ptrdiff_t>(pos), payload);
-    if (node->values.size() <= kLeafCap) return {};
+    if (node->values.size() <= kLeafCap) {
+      Locate(node, pos, pos + 1);
+      return {};
+    }
     auto right = Node::Leaf();
     size_t half = node->values.size() / 2;
     right->values.assign(node->values.begin() + static_cast<ptrdiff_t>(half),
                          node->values.end());
     node->values.resize(half);
-    right->count = right->values.size();
-    node->count = node->values.size();
+    Locate(node, pos, pos + 1);  // no-op when the payload moved right
+    Locate(right.get());
     return {std::move(right)};
   }
-  // Internal: find the child to descend into. Position may equal the running
-  // total, in which case we insert at the end of the last child that can take
-  // it (prefer the earlier child so appends go to the rightmost).
-  size_t i = 0;
-  for (; i + 1 < node->children.size(); ++i) {
-    if (pos <= node->children[i]->count) break;
-    pos -= node->children[i]->count;
-  }
+  // Internal: a position equal to a child's count goes to the end of that
+  // child (the earlier one), so appends go to the rightmost leaf.
+  size_t i = node->ChildFor(&pos, true);
   InsertOutcome out = InsertRec(node->children[i].get(), pos, payload);
-  if (out.split) {
-    node->children.insert(node->children.begin() + static_cast<ptrdiff_t>(i) + 1,
-                          std::move(out.split));
-    if (node->children.size() > kFanout) {
-      auto right = Node::Internal();
-      size_t half = node->children.size() / 2;
-      for (size_t j = half; j < node->children.size(); ++j) {
-        right->count += node->children[j]->count;
-        right->children.push_back(std::move(node->children[j]));
-      }
-      node->children.resize(half);
-      node->count -= right->count;
-      return {std::move(right)};
-    }
+  node->counts[i] += 1;
+  if (!out.split) return {};
+  size_t split_count = out.split->Count();
+  node->counts[i] -= split_count;
+  out.split->parent = node;
+  node->children.insert(node->children.begin() + static_cast<ptrdiff_t>(i) + 1,
+                        std::move(out.split));
+  node->counts.insert(node->counts.begin() + static_cast<ptrdiff_t>(i) + 1,
+                      split_count);
+  if (node->children.size() <= kFanout) return {};
+  auto right = Node::Internal();
+  size_t half = node->children.size() / 2;
+  for (size_t j = half; j < node->children.size(); ++j) {
+    right->Adopt(std::move(node->children[j]), node->counts[j]);
   }
-  return {};
+  node->children.resize(half);
+  node->counts.resize(half);
+  return {std::move(right)};
 }
 
 Status PositionalIndex::InsertAt(size_t pos, uint64_t payload) {
@@ -126,9 +176,10 @@ Status PositionalIndex::InsertAt(size_t pos, uint64_t payload) {
   InsertOutcome out = InsertRec(root_.get(), pos, payload);
   if (out.split) {
     auto new_root = Node::Internal();
-    new_root->count = root_->count + out.split->count;
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(out.split));
+    size_t left_count = root_->Count();
+    size_t right_count = out.split->Count();
+    new_root->Adopt(std::move(root_), left_count);
+    new_root->Adopt(std::move(out.split), right_count);
     root_ = std::move(new_root);
   }
   size_ += 1;
@@ -141,26 +192,22 @@ void PositionalIndex::PushBack(uint64_t payload) {
 }
 
 uint64_t PositionalIndex::EraseRec(Node* node, size_t pos) {
-  node->count -= 1;
   if (node->leaf) {
     uint64_t v = node->values[pos];
     node->values.erase(node->values.begin() + static_cast<ptrdiff_t>(pos));
+    if (locate_) leaf_of_[v] = nullptr;
     return v;
   }
-  size_t i = 0;
-  for (; i + 1 < node->children.size(); ++i) {
-    if (pos < node->children[i]->count) break;
-    pos -= node->children[i]->count;
-  }
+  size_t i = node->ChildFor(&pos, false);
   Node* child = node->children[i].get();
   uint64_t v = EraseRec(child, pos);
+  node->counts[i] -= 1;
 
   // Light rebalancing: merge an underfull child into a neighbour when the
   // combined size fits, otherwise leave it (splits guarantee halves, so the
   // tree height stays O(log of max size ever)).
   size_t min_size = child->leaf ? kLeafMin : kFanoutMin;
-  size_t child_size = child->leaf ? child->values.size() : child->children.size();
-  if (child_size < min_size && node->children.size() > 1) {
+  if (child->size() < min_size && node->children.size() > 1) {
     size_t j = (i + 1 < node->children.size()) ? i + 1 : i - 1;
     size_t left = std::min(i, j);
     size_t right = std::max(i, j);
@@ -168,16 +215,19 @@ uint64_t PositionalIndex::EraseRec(Node* node, size_t pos) {
     Node* r = node->children[right].get();
     if (l->leaf == r->leaf) {
       size_t cap = l->leaf ? kLeafCap : kFanout;
-      size_t l_size = l->leaf ? l->values.size() : l->children.size();
-      size_t r_size = r->leaf ? r->values.size() : r->children.size();
-      if (l_size + r_size <= cap) {
+      size_t l_size = l->size();
+      if (l_size + r->size() <= cap) {
         if (l->leaf) {
           l->values.insert(l->values.end(), r->values.begin(), r->values.end());
+          Locate(l, l_size);
         } else {
-          for (auto& c : r->children) l->children.push_back(std::move(c));
+          for (size_t k = 0; k < r->children.size(); ++k) {
+            l->Adopt(std::move(r->children[k]), r->counts[k]);
+          }
         }
-        l->count += r->count;
+        node->counts[left] += node->counts[right];
         node->children.erase(node->children.begin() + static_cast<ptrdiff_t>(right));
+        node->counts.erase(node->counts.begin() + static_cast<ptrdiff_t>(right));
       }
     }
   }
@@ -187,6 +237,7 @@ uint64_t PositionalIndex::EraseRec(Node* node, size_t pos) {
 void PositionalIndex::MaybeShrinkRoot() {
   while (!root_->leaf && root_->children.size() == 1) {
     root_ = std::move(root_->children[0]);
+    root_->parent = nullptr;
   }
 }
 
@@ -213,12 +264,12 @@ void PositionalIndex::Visit(size_t begin, size_t count,
       return;
     }
     size_t child_base = base;
-    for (const auto& child : node->children) {
+    for (size_t k = 0; k < node->children.size(); ++k) {
       if (child_base >= end) break;
-      if (child_base + child->count > begin) {
-        self(self, child.get(), child_base);
+      if (child_base + node->counts[k] > begin) {
+        self(self, node->children[k].get(), child_base);
       }
-      child_base += child->count;
+      child_base += node->counts[k];
     }
   };
   walk(walk, root_.get(), 0);
@@ -242,7 +293,7 @@ void PositionalIndex::Build(const std::vector<uint64_t>& payloads) {
     size_t n = std::min(per_leaf, payloads.size() - i);
     leaf->values.assign(payloads.begin() + static_cast<ptrdiff_t>(i),
                         payloads.begin() + static_cast<ptrdiff_t>(i + n));
-    leaf->count = n;
+    Locate(leaf.get());
     level.push_back(std::move(leaf));
   }
   const size_t per_node = kFanout * 3 / 4;
@@ -252,8 +303,8 @@ void PositionalIndex::Build(const std::vector<uint64_t>& payloads) {
       auto internal = Node::Internal();
       size_t n = std::min(per_node, level.size() - i);
       for (size_t j = 0; j < n; ++j) {
-        internal->count += level[i + j]->count;
-        internal->children.push_back(std::move(level[i + j]));
+        size_t count = level[i + j]->Count();
+        internal->Adopt(std::move(level[i + j]), count);
       }
       next.push_back(std::move(internal));
     }
@@ -266,6 +317,7 @@ void PositionalIndex::Build(const std::vector<uint64_t>& payloads) {
 void PositionalIndex::Clear() {
   root_ = Node::Leaf();
   size_ = 0;
+  leaf_of_.clear();
 }
 
 size_t PositionalIndex::height() const {

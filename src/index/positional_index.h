@@ -22,9 +22,20 @@ namespace dataspread {
 /// ablation baseline).
 ///
 /// Payloads are opaque 64-bit handles (storage slots, sheet axis ids, ...).
+///
+/// The reverse direction — the position of a given payload — is O(log n)
+/// when the index is built with kLocatePayloads: every node links to its
+/// parent, and a dense locator maps each payload to the leaf holding it, so
+/// PositionOf scans one leaf, then climbs to the root adding the counts of
+/// the left siblings on the way (DESIGN.md §10). The locator costs 8 B per
+/// payload value and requires payloads to be *unique, dense* small integers
+/// (a table's row ids); indexes that never ask for positions (the sheet
+/// axes) leave it off and pay nothing.
 class PositionalIndex {
  public:
-  PositionalIndex();
+  enum Mode { kPositionOnly, kLocatePayloads };
+
+  explicit PositionalIndex(Mode mode = kPositionOnly);
   ~PositionalIndex();
 
   PositionalIndex(const PositionalIndex&) = delete;
@@ -45,6 +56,10 @@ class PositionalIndex {
   void PushBack(uint64_t payload);
   /// Removes and returns the payload at `pos`.
   Result<uint64_t> EraseAt(size_t pos);
+
+  /// Position of `payload`, O(log n). Requires kLocatePayloads (fails
+  /// otherwise); NotFound when the payload is not in the index.
+  Result<size_t> PositionOf(uint64_t payload) const;
 
   /// Calls `fn(position, payload)` for positions [begin, begin+count) clipped
   /// to size(). O(log n + count).
@@ -70,9 +85,14 @@ class PositionalIndex {
   InsertOutcome InsertRec(Node* node, size_t pos, uint64_t payload);
   uint64_t EraseRec(Node* node, size_t pos);
   void MaybeShrinkRoot();
+  /// Points the locator entries of `leaf`'s payloads [from, to) at it
+  /// (kLocatePayloads only).
+  void Locate(Node* leaf, size_t from = 0, size_t to = SIZE_MAX);
 
   std::unique_ptr<Node> root_;
   size_t size_ = 0;
+  bool locate_;
+  std::vector<Node*> leaf_of_;  // payload -> leaf holding it (kLocatePayloads)
 };
 
 }  // namespace dataspread

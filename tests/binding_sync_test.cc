@@ -122,6 +122,77 @@ TEST_F(BindingSyncTest, UnbindClearsMaterializedCells) {
             Value::Int(3));
 }
 
+TEST_F(BindingSyncTest, DropTableDetachesItsBindings) {
+  ASSERT_TRUE(ds_.ImportTable("S", "A1", "people").ok());
+  ASSERT_TRUE(ds_.Sql("DROP TABLE people").ok());
+  // The next pane move must not touch the dropped table.
+  ASSERT_TRUE(ds_.ScrollTo("S", 0, 0).ok());
+  ASSERT_TRUE(ds_.ScrollTo("S", 2, 0).ok());
+  EXPECT_TRUE(ds_.GetValueAt(sheet_, 1, 0).is_null());
+  EXPECT_TRUE(ds_.GetValueAt(sheet_, 0, 1).is_null());
+  EXPECT_TRUE(ds_.GetValueAt(sheet_, 0, 0).is_error());  // DBTABLE: #NAME?
+  // The region is plain cells again.
+  ASSERT_TRUE(ds_.SetCellAt(sheet_, 1, 1, "free").ok());
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 1, 1), Value::Text("free"));
+  // A table recreated under the name binds afresh on re-entry.
+  ASSERT_TRUE(ds_.Sql("CREATE TABLE people (id INT PRIMARY KEY, name TEXT)")
+                  .ok());
+  ASSERT_TRUE(ds_.Sql("INSERT INTO people VALUES (9, 'zed')").ok());
+  ASSERT_TRUE(ds_.ImportTable("S", "A1", "people").ok());
+  EXPECT_EQ(ds_.GetValueAt(sheet_, 1, 1), Value::Text("zed"));
+}
+
+TEST_F(BindingSyncTest, WindowSlideWritesOnlyEnteringRows) {
+  for (int i = 4; i <= 200; ++i) {
+    ASSERT_TRUE(ds_.Sql("INSERT INTO people VALUES (" + std::to_string(i) +
+                        ", 'p" + std::to_string(i) + "', " +
+                        std::to_string(i) + ")")
+                    .ok());
+  }
+  ASSERT_TRUE(ds_.ImportTable("S", "A1", "people", 50).ok());
+  TableBinding* binding = ds_.interface_manager().FindBindingAt(sheet_, 1, 0);
+  ASSERT_NE(binding, nullptr);
+  Table* table = binding->table();
+  size_t written = 0;
+  binding->set_cell_written_hook([&](int64_t, int64_t) { ++written; });
+  auto expect_window = [&]() {
+    for (size_t p = 0; p < table->num_rows(); ++p) {
+      int64_t row = binding->data_row() + static_cast<int64_t>(p);
+      bool shown = p >= binding->window_start() &&
+                   p < binding->window_start() + binding->window_count();
+      for (int64_t c = 0; c < 3; ++c) {
+        Value cell = ds_.GetValueAt(sheet_, row, c);
+        if (shown) {
+          ASSERT_EQ(cell, table->GetAt(p, static_cast<size_t>(c)).value())
+              << p;
+        } else {
+          ASSERT_TRUE(cell.is_null()) << p;
+        }
+      }
+    }
+  };
+  // Down 10: 10 rows enter, 10 leave, 3 cells each.
+  ASSERT_TRUE(binding->SetWindow(10, 50).ok());
+  EXPECT_EQ(written, 60u);
+  expect_window();
+  // Up 4 (overlapping), then a jump (disjoint: every row is new).
+  written = 0;
+  ASSERT_TRUE(binding->SetWindow(6, 50).ok());
+  EXPECT_EQ(written, 24u);
+  expect_window();
+  written = 0;
+  ASSERT_TRUE(binding->SetWindow(120, 50).ok());
+  EXPECT_EQ(written, 300u);
+  expect_window();
+  // A pending delta (no pump yet) makes the next slide rewrite it all.
+  ASSERT_TRUE(table->UpdateAt(130, 1, Value::Text("changed")).ok());
+  ASSERT_TRUE(table->DeleteRowAt(125).ok());
+  ASSERT_TRUE(binding->SetWindow(121, 50).ok());
+  expect_window();
+  EXPECT_EQ(ds_.GetValueAt(sheet_, binding->data_row() + 129, 1),
+            Value::Text("changed"));
+}
+
 TEST_F(BindingSyncTest, PklessTableUsesPositionalUpdates) {
   ASSERT_TRUE(ds_.Sql("CREATE TABLE notes (txt TEXT)").ok());
   ASSERT_TRUE(ds_.Sql("INSERT INTO notes VALUES ('a'), ('b')").ok());

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "catalog/catalog.h"
+#include "db/database.h"
 
 namespace dataspread {
 namespace {
@@ -193,6 +199,273 @@ TEST(TableTest, ScanEarlyStop) {
   });
   EXPECT_EQ(visited, 3);
 }
+
+// ---------------------------------------------------------------------------
+// Key↔position (DESIGN.md §10): FindByKey is a PK probe plus the order
+// index's row locator. Every test runs on all four storage models and checks
+// FindByKey against the display order itself after each mutation.
+// ---------------------------------------------------------------------------
+
+/// (title TEXT, id INT PRIMARY KEY, year INT): the key is not column 0, so
+/// dropping column 0 moves it.
+Schema KeyedSchema() {
+  return Schema({ColumnDef{"title", DataType::kText, false},
+                 ColumnDef{"id", DataType::kInt, true},
+                 ColumnDef{"year", DataType::kInt, false}});
+}
+
+Row KeyedRow(int64_t id) {
+  return {Value::Text("t" + std::to_string(id)), Value::Int(id),
+          Value::Int(1900 + id % 100)};
+}
+
+/// Every row's key maps back to its display position, and `absent` keys
+/// are not found.
+void ExpectKeysAtPositions(const Table& table,
+                           const std::vector<Value>& absent = {}) {
+  size_t pk = table.schema().primary_key_index().value();
+  for (size_t pos = 0; pos < table.num_rows(); ++pos) {
+    Value key = table.GetAt(pos, pk).value();
+    auto found = table.FindByKey(key);
+    ASSERT_TRUE(found.ok()) << key.ToSqlLiteral() << ": " << found.status().ToString();
+    ASSERT_EQ(found.value(), pos) << key.ToSqlLiteral();
+  }
+  for (const Value& key : absent) {
+    auto found = table.FindByKey(key);
+    ASSERT_FALSE(found.ok()) << key.ToSqlLiteral();
+    EXPECT_EQ(found.status().code(), StatusCode::kNotFound);
+  }
+}
+
+/// Reverses a journal the way ROLLBACK does (newest entry first).
+void UndoAll(UndoJournal* journal) {
+  for (size_t i = journal->entries.size(); i-- > 0;) {
+    UndoJournal::Entry& e = journal->entries[i];
+    Status s;
+    switch (e.kind) {
+      case UndoJournal::Entry::Kind::kInsert:
+        s = e.table->UndoInsertRow(e.pos, e.rid);
+        break;
+      case UndoJournal::Entry::Kind::kDelete:
+        s = e.table->UndoDeleteRow(e.pos, std::move(e.row), e.rid);
+        break;
+      case UndoJournal::Entry::Kind::kUpdate:
+        s = e.table->UndoUpdateCell(e.rid, e.col, std::move(e.old_value));
+        break;
+    }
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  journal->Clear();
+}
+
+std::vector<Value> KeysInOrder(const Table& table) {
+  size_t pk = table.schema().primary_key_index().value();
+  std::vector<Value> keys;
+  for (size_t pos = 0; pos < table.num_rows(); ++pos) {
+    keys.push_back(table.GetAt(pos, pk).value());
+  }
+  return keys;
+}
+
+class KeyLocationTest : public ::testing::TestWithParam<StorageModel> {
+ protected:
+  std::unique_ptr<Table> MakeTable(Schema schema = KeyedSchema()) {
+    return Table::Create("keyed", std::move(schema), GetParam()).ValueOrDie();
+  }
+};
+
+TEST_P(KeyLocationTest, MiddleInsertsAndDeletes) {
+  auto table = MakeTable();
+  std::mt19937 rng(11);
+  std::vector<Value> gone;
+  int64_t next_key = 0;
+  for (; next_key < 300; ++next_key) {
+    ASSERT_TRUE(table->AppendRow(KeyedRow(next_key * 7)).ok());
+  }
+  ExpectKeysAtPositions(*table);
+  for (int step = 0; step < 400; ++step) {
+    if (rng() % 2 == 0) {
+      size_t pos = rng() % (table->num_rows() + 1);
+      ASSERT_TRUE(table->InsertRowAt(pos, KeyedRow(next_key++ * 7)).ok());
+    } else {
+      size_t pos = rng() % table->num_rows();
+      gone.push_back(table->GetAt(pos, 1).value());
+      ASSERT_TRUE(table->DeleteRowAt(pos).ok());
+    }
+    if (step % 20 == 0) ExpectKeysAtPositions(*table);
+  }
+  ExpectKeysAtPositions(*table, gone);
+}
+
+TEST_P(KeyLocationTest, UndoRestoresKeysAndPositions) {
+  auto table = MakeTable();
+  for (int64_t k = 0; k < 200; ++k) {
+    ASSERT_TRUE(table->AppendRow(KeyedRow(k)).ok());
+  }
+  std::vector<Value> before = KeysInOrder(*table);
+  UndoJournal journal;
+  table->set_undo_journal(&journal);
+  ASSERT_TRUE(table->InsertRowAt(50, KeyedRow(1000)).ok());
+  ASSERT_TRUE(table->DeleteRowAt(120).ok());
+  ASSERT_TRUE(table->DeleteRowAt(0).ok());
+  ASSERT_TRUE(table->UpdateAt(10, 1, Value::Int(2000)).ok());     // PK update
+  ASSERT_TRUE(table->UpdateByKey(Value::Int(77), 1, Value::Int(3000)).ok());
+  ASSERT_TRUE(table->UpdateAt(20, 2, Value::Int(1)).ok());        // non-key
+  ExpectKeysAtPositions(*table, {Value::Int(77)});
+  EXPECT_EQ(table->FindByKey(Value::Int(1000)).value(), 49u);
+  UndoAll(&journal);
+  table->set_undo_journal(nullptr);
+  EXPECT_EQ(KeysInOrder(*table), before);
+  ExpectKeysAtPositions(*table, {Value::Int(1000), Value::Int(2000),
+                                 Value::Int(3000)});
+}
+
+TEST_P(KeyLocationTest, PkUpdateAndDuplicateRejection) {
+  auto table = MakeTable();
+  for (int64_t k = 0; k < 50; ++k) {
+    ASSERT_TRUE(table->AppendRow(KeyedRow(k)).ok());
+  }
+  // Duplicate keys are refused on insert, positional update and keyed
+  // update, and leave the index as it was.
+  EXPECT_FALSE(table->AppendRow(KeyedRow(5)).ok());
+  EXPECT_FALSE(table->InsertRowAt(3, KeyedRow(49)).ok());
+  EXPECT_FALSE(table->UpdateAt(7, 1, Value::Int(8)).ok());
+  EXPECT_FALSE(table->UpdateByKey(Value::Int(9), 1, Value::Int(10)).ok());
+  EXPECT_FALSE(table->UpdateByKey(Value::Int(9), 1, Value::Null()).ok());
+  EXPECT_EQ(table->num_rows(), 50u);
+  ExpectKeysAtPositions(*table);
+  // A key moves; its old value frees up for another row.
+  ASSERT_TRUE(table->UpdateByKey(Value::Int(9), 1, Value::Int(900)).ok());
+  EXPECT_EQ(table->FindByKey(Value::Int(900)).value(), 9u);
+  ASSERT_TRUE(table->InsertRowAt(0, KeyedRow(9)).ok());
+  EXPECT_EQ(table->FindByKey(Value::Int(9)).value(), 0u);
+  // A REAL probe equal to an INT key finds it (Value equality).
+  EXPECT_EQ(table->FindByKey(Value::Real(900.0)).value(), 10u);
+  ExpectKeysAtPositions(*table);
+}
+
+TEST_P(KeyLocationTest, SchemaChangesKeepTheKeyIndex) {
+  auto table = MakeTable();
+  for (int64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(table->AppendRow(KeyedRow(k * 3)).ok());
+  }
+  ASSERT_TRUE(table->DropColumn("title").ok());  // the key moves to column 0
+  ASSERT_TRUE(
+      table->AddColumn(ColumnDef{"note", DataType::kText, false}, Value::Null())
+          .ok());
+  ASSERT_TRUE(table->InsertRowAt(40, {Value::Int(1), Value::Int(5),
+                                      Value::Text("n")})
+                  .ok());
+  ExpectKeysAtPositions(*table, {Value::Int(2)});
+  EXPECT_EQ(table->FindByKey(Value::Int(1)).value(), 40u);
+  // Dropping the key column drops the key index with it.
+  ASSERT_TRUE(table->DropColumn("id").ok());
+  EXPECT_FALSE(table->FindByKey(Value::Int(1)).ok());
+}
+
+TEST_P(KeyLocationTest, TextKeys) {
+  auto table = MakeTable(Schema({ColumnDef{"name", DataType::kText, true},
+                                 ColumnDef{"v", DataType::kInt, false}}));
+  for (int i = 0; i < 120; ++i) {
+    ASSERT_TRUE(table
+                    ->InsertRowAt(static_cast<size_t>(i / 2),
+                                  {Value::Text("key-" + std::to_string(i)),
+                                   Value::Int(i)})
+                    .ok());
+  }
+  ExpectKeysAtPositions(*table, {Value::Text("key-120"), Value::Text("")});
+  EXPECT_FALSE(
+      table->AppendRow({Value::Text("key-7"), Value::Int(0)}).ok());
+  ASSERT_TRUE(table->UpdateByKey(Value::Text("key-7"), 0,
+                                 Value::Text("renamed"))
+                  .ok());
+  ASSERT_TRUE(table->DeleteRowAt(table->FindByKey(Value::Text("key-8")).value())
+                  .ok());
+  ExpectKeysAtPositions(*table, {Value::Text("key-7"), Value::Text("key-8")});
+}
+
+TEST_P(KeyLocationTest, KeysWithCollidingLowHashBits) {
+  // INT keys past 2^53 hash by identity in Value::Hash, so these share
+  // their low 21 bits: one probe run without the index's hash finalizer.
+  auto table = MakeTable();
+  auto key = [](int64_t i) {
+    return (int64_t{1} << 60) + (i << 21) + 1;
+  };
+  for (int64_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(table->InsertRowAt(static_cast<size_t>(i % 7 == 0 ? 0 : i),
+                                   KeyedRow(key(i)))
+                    .ok());
+  }
+  std::vector<Value> gone;
+  for (int64_t i = 0; i < 500; i += 3) {
+    ASSERT_TRUE(
+        table->DeleteRowAt(table->FindByKey(Value::Int(key(i))).value()).ok());
+    gone.push_back(Value::Int(key(i)));
+  }
+  ExpectKeysAtPositions(*table, gone);
+  EXPECT_FALSE(table->AppendRow(KeyedRow(key(1))).ok());
+}
+
+TEST_P(KeyLocationTest, RollbackRestoresPositions) {
+  Database db;
+  Table* table = db.CreateTable("keyed", KeyedSchema(), GetParam()).ValueOrDie();
+  for (int64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(table->AppendRow(KeyedRow(k)).ok());
+  }
+  std::vector<Value> before = KeysInOrder(*table);
+  ASSERT_TRUE(db.Execute("BEGIN").ok());
+  ASSERT_TRUE(db.Execute("DELETE FROM keyed WHERE id = 40").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO keyed VALUES ('new', 500, 1)").ok());
+  ASSERT_TRUE(db.Execute("UPDATE keyed SET id = 600 WHERE id = 3").ok());
+  ASSERT_TRUE(db.Execute("DELETE FROM keyed WHERE year < 1905").ok());
+  ExpectKeysAtPositions(*table, {Value::Int(40), Value::Int(3)});
+  ASSERT_TRUE(db.Execute("ROLLBACK").ok());
+  EXPECT_EQ(KeysInOrder(*table), before);
+  ExpectKeysAtPositions(*table, {Value::Int(500), Value::Int(600)});
+}
+
+TEST_P(KeyLocationTest, FindByKeyAfterReopen) {
+  const std::string base = ::testing::TempDir() + "ds_keyloc_" +
+                           StorageModelName(GetParam());
+  const std::string wal = base + ".wal", spill = base + ".pages";
+  std::remove(wal.c_str());
+  std::remove(spill.c_str());
+  DatabaseOptions options;
+  options.pager.spill_path = spill;
+  options.pager.wal_path = wal;
+  options.pager.durable_spill = true;
+  std::vector<Value> keys;
+  {
+    Database db(options);
+    Table* table =
+        db.CreateTable("keyed", KeyedSchema(), GetParam()).ValueOrDie();
+    for (int64_t k = 0; k < 150; ++k) {
+      ASSERT_TRUE(table->InsertRowAt(static_cast<size_t>(k / 3), KeyedRow(k))
+                      .ok());
+    }
+    ASSERT_TRUE(db.Execute("DELETE FROM keyed WHERE id = 10").ok());
+    ASSERT_TRUE(db.Execute("UPDATE keyed SET id = 999 WHERE id = 20").ok());
+    keys = KeysInOrder(*table);
+  }
+  {
+    Database db(options);  // Attach → AdoptRowMaps → RebuildPkIndex
+    Table* table = db.catalog().GetTable("keyed").ValueOrDie();
+    EXPECT_EQ(KeysInOrder(*table), keys);
+    ExpectKeysAtPositions(*table, {Value::Int(10), Value::Int(20)});
+    EXPECT_FALSE(table->AppendRow(KeyedRow(999)).ok());
+  }
+  std::remove(wal.c_str());
+  std::remove(spill.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, KeyLocationTest,
+                         ::testing::Values(StorageModel::kRow,
+                                           StorageModel::kColumn,
+                                           StorageModel::kRcv,
+                                           StorageModel::kHybrid),
+                         [](const auto& info) {
+                           return std::string(StorageModelName(info.param));
+                         });
 
 }  // namespace
 }  // namespace dataspread

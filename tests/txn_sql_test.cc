@@ -213,6 +213,45 @@ TEST_P(TxnSqlTest, RollbackOfManyInterleavedStatements) {
   }
 }
 
+TEST_P(TxnSqlTest, KeyDirectDeleteHitAndMiss) {
+  for (int i = 0; i < 200; ++i) {
+    Run("INSERT INTO t VALUES (" + std::to_string(i) + ", 'v')");
+  }
+  // A hit reads one row, not the table: far fewer slot reads than rows.
+  uint64_t reads_before = db_.pager().stats().slot_reads;
+  EXPECT_EQ(Run("DELETE FROM t WHERE id = 150").affected_rows, 1u);
+  EXPECT_LT(db_.pager().stats().slot_reads - reads_before, 50u);
+  EXPECT_EQ(Run("DELETE FROM t WHERE 7 = id").affected_rows, 1u);
+  EXPECT_EQ(Run("DELETE FROM t WHERE id = 150").affected_rows, 0u);
+  EXPECT_EQ(Run("DELETE FROM t WHERE id = 4242").affected_rows, 0u);
+  EXPECT_EQ(CountRows(), 198u);
+  EXPECT_EQ(Run("SELECT v FROM t WHERE id = 150").num_rows(), 0u);
+  Table* table = db_.catalog().GetTable("t").ValueOrDie();
+  EXPECT_EQ(table->FindByKey(Value::Int(151)).value(), 149u);
+  EXPECT_EQ(table->FindByKey(Value::Int(8)).value(), 7u);
+}
+
+TEST_P(TxnSqlTest, RollbackRestoresKeyDirectDeleteAtItsPosition) {
+  for (int i = 0; i < 10; ++i) {
+    Run("INSERT INTO t VALUES (" + std::to_string(i) + ", 'v" +
+        std::to_string(i) + "')");
+  }
+  ResultSet before = Run("SELECT id, v FROM t");
+  Run("BEGIN");
+  EXPECT_EQ(Run("DELETE FROM t WHERE id = 4").affected_rows, 1u);
+  EXPECT_EQ(Run("DELETE FROM t WHERE id = 0").affected_rows, 1u);
+  EXPECT_EQ(CountRows(), 8u);
+  Run("ROLLBACK");
+  ResultSet after = Run("SELECT id, v FROM t");
+  ASSERT_EQ(after.num_rows(), before.num_rows());
+  for (size_t r = 0; r < before.num_rows(); ++r) {
+    EXPECT_EQ(after.rows[r], before.rows[r]) << "row " << r;
+  }
+  Table* table = db_.catalog().GetTable("t").ValueOrDie();
+  EXPECT_EQ(table->FindByKey(Value::Int(4)).value(), 4u);
+  EXPECT_EQ(table->FindByKey(Value::Int(0)).value(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Models, TxnSqlTest,
                          ::testing::Values(StorageModel::kRow,
                                            StorageModel::kColumn,

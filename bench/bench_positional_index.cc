@@ -106,55 +106,34 @@ BENCHMARK(BM_Positional_BulkBuild)->Arg(1000000)->Unit(benchmark::kMillisecond);
 // Key → display position (DESIGN.md §10): a PK probe, then the order
 // index's row locator. The table is loaded by inserts at random display
 // positions, so display order, row ids and key order all differ and the
-// tree's leaves are as partly filled as an edited table's. Two probe
-// streams per size:
-//   hot     — keys cycle through a warmed-up working set of 64 (the last
-//             few rows a user jumped to). Their paths stay in the caches
-//             and the TLB at every size, so the time counts the steps the
-//             algorithm takes;
-//   uniform — keys uniform over the whole table. At 1M rows nearly every
-//             probe misses the caches and the TLB on each structure it
-//             touches (hash slot, row map, storage page, locator, leaf,
-//             parent), so this curve adds memory latency.
-// ci/check.sh gates hot 1M <= 3x hot 10k; the O(n) order scan this
-// replaced was ~600x (0.04 ms at 10k, 24 ms at 1M rows).
-constexpr size_t kHotKeys = 64;
-
+// tree's leaves are as partly filled as an edited table's. Keys are drawn
+// uniformly over the whole table, as perfbench's pane_browse key jumps are.
+// At 1M rows nearly every probe misses the caches and the TLB on each
+// structure it touches (hash slot, row map, storage page, locator, leaf),
+// so the curve rises with memory latency (~10x from 10k to 1M rows) rather
+// than with the row count (the O(n) order scan this replaced was ~600x:
+// 0.04 ms at 10k, 24 ms at 1M rows). ci/check.sh gates 1M <= 30x 10k.
 void BM_Positional_FindByKey(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const bool hot = state.range(1) != 0;
-  // One table per size, shared by both streams (the 1M load is the slow
-  // part of this family).
-  static std::unique_ptr<Table> table;
-  if (table == nullptr || table->num_rows() != n) {
-    table.reset();
-    table = Table::Create("t",
-                          Schema({ColumnDef{"id", DataType::kInt, true},
-                                  ColumnDef{"v", DataType::kInt, false}}),
-                          StorageModel::kHybrid, nullptr,
-                          bench::PagerConfigFromEnv())
-                .ValueOrDie();
-    table->ReserveRows(n);
-    std::mt19937_64 load(7);
-    for (size_t i = 0; i < n; ++i) {
-      (void)table->InsertRowAt(load() % (i + 1),
-                               {Value::Int(static_cast<int64_t>(i)),
-                                Value::Int(static_cast<int64_t>(i % 1000))});
-    }
+  std::unique_ptr<Table> table =
+      Table::Create("t",
+                    Schema({ColumnDef{"id", DataType::kInt, true},
+                            ColumnDef{"v", DataType::kInt, false}}),
+                    StorageModel::kHybrid, nullptr,
+                    bench::PagerConfigFromEnv())
+          .ValueOrDie();
+  table->ReserveRows(n);
+  std::mt19937_64 load(7);
+  for (size_t i = 0; i < n; ++i) {
+    (void)table->InsertRowAt(load() % (i + 1),
+                             {Value::Int(static_cast<int64_t>(i)),
+                              Value::Int(static_cast<int64_t>(i % 1000))});
   }
   std::mt19937_64 rng(11);
-  std::vector<Value> working_set;
-  for (size_t k = 0; k < kHotKeys; ++k) {
-    working_set.push_back(Value::Int(static_cast<int64_t>(rng() % n)));
-  }
   size_t misses = 0;
-  for (const Value& key : working_set) misses += !table->FindByKey(key).ok();
-  size_t i = 0;
   auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    auto pos = hot ? table->FindByKey(working_set[i++ % kHotKeys])
-                   : table->FindByKey(
-                         Value::Int(static_cast<int64_t>(rng() % n)));
+    auto pos = table->FindByKey(Value::Int(static_cast<int64_t>(rng() % n)));
     if (!pos.ok()) ++misses;
     benchmark::DoNotOptimize(pos);
   }
@@ -164,20 +143,21 @@ void BM_Positional_FindByKey(benchmark::State& state) {
   if (misses > 0) state.SkipWithError("FindByKey missed a present key");
   const double iterations = static_cast<double>(state.iterations());
   const double op_ms = iterations > 0 ? total_s * 1e3 / iterations : 0;
-  const std::string stream = hot ? "hot" : "uniform";
   state.counters["op_ms"] = op_ms;
-  state.SetLabel(std::to_string(n) + " rows, " + stream + " keys");
+  state.SetLabel(std::to_string(n) + " rows");
   bench::AppendBenchJsonLine(
-      "positional", "FindByKey/" + stream + "/" + std::to_string(n),
+      "positional", "FindByKey/" + std::to_string(n),
       {{"iterations", iterations},
        {"rows", static_cast<double>(n)},
        {"nproc", static_cast<double>(std::thread::hardware_concurrency())},
        {"op_ms", op_ms}});
 }
-// Fixed iterations: one measured run per (size, stream), so each run writes
-// one JSON line.
+// Fixed iterations: one measured run per size, so each run writes one JSON
+// line.
 BENCHMARK(BM_Positional_FindByKey)
-    ->ArgsProduct({{10000, 100000, 1000000}, {1, 0}})
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
     ->Iterations(200000);
 
 }  // namespace

@@ -12,7 +12,7 @@
 # must hold >= 1.8x over the serial batch pipeline at 4 threads on >= 4-core
 # machines, and its 1-thread run must stay within 10% of serial batch), a
 # sync-flatness gate (a bound-cell edit at 100k rows <= 2x one at 100), a
-# key-jump flatness gate (FindByKey at 1M rows <= 3x at 10k), the
+# key-jump gate (FindByKey at 1M rows <= 30x at 10k, uniform keys), the
 # TSan and ASan+UBSan sanitizer jobs, and a docs-consistency check (BENCH
 # field coverage + markdown cross-references).
 set -euo pipefail
@@ -433,36 +433,37 @@ else
 fi
 
 # ---------------------------------------------------------------------------
-# Key-jump flatness gate (DESIGN.md §10): Table::FindByKey is a PK hash
-# probe plus the order index's row locator, so over a warm 64-key working
-# set its cost at 1M rows must stay within 3x of its cost at 10k rows
-# (measured ~1.1x; the O(n) order scan it replaced was ~600x). The uniform-key
-# stream is recorded in BENCH_positional.json beside it but not gated: at
-# 1M rows it is bound by cache and TLB misses, not by the algorithm.
+# Key-jump gate (DESIGN.md §10): Table::FindByKey is a PK hash probe plus
+# the order index's row locator, so its cost must not grow with the row
+# count. Keys are uniform over the table, as pane_browse's key jumps are.
+# Measured 1M/10k over nine runs: 5.5-13.4x, median ~10x (memory latency:
+# every probe misses the caches at 1M rows, and neighbours' memory traffic
+# moves the 1M figure); the O(n) order scan it replaced was ~600x. The
+# bound, 30x, is ~3x the median ratio and fails any O(n) walk.
 # ---------------------------------------------------------------------------
 if [[ -x "${BUILD_DIR}/bench_positional_index" ]]; then
   DS_SPILL_DIR="${SMOKE_DIR}" DS_BENCH_JSON_DIR="${SMOKE_DIR}" \
     "${BUILD_DIR}/bench_positional_index" \
-    --benchmark_filter='BM_Positional_FindByKey/(10000|1000000)/1/'
-  key10k_ms="$(sed -n 's/.*"run":"FindByKey\/hot\/10000".*"op_ms":\([0-9][0-9.e+-]*\).*/\1/p' \
+    --benchmark_filter='BM_Positional_FindByKey/(10000|1000000)/'
+  key10k_ms="$(sed -n 's/.*"run":"FindByKey\/10000".*"op_ms":\([0-9][0-9.e+-]*\).*/\1/p' \
     "${SMOKE_DIR}/BENCH_positional.json" | tail -n1)"
-  key1m_ms="$(sed -n 's/.*"run":"FindByKey\/hot\/1000000".*"op_ms":\([0-9][0-9.e+-]*\).*/\1/p' \
+  key1m_ms="$(sed -n 's/.*"run":"FindByKey\/1000000".*"op_ms":\([0-9][0-9.e+-]*\).*/\1/p' \
     "${SMOKE_DIR}/BENCH_positional.json" | tail -n1)"
   if [[ -z "${key10k_ms}" || -z "${key1m_ms}" ]]; then
     echo "ci/check.sh: could not parse op_ms from BENCH_positional.json" >&2
     exit 1
   fi
   echo "ci/check.sh: FindByKey: ${key1m_ms} ms @1M rows," \
-       "${key10k_ms} ms @10k rows (need <= 3x)"
+       "${key10k_ms} ms @10k rows (need <= 30x)"
   if ! awk -v big="${key1m_ms}" -v small="${key10k_ms}" \
-       'BEGIN { exit !(small > 0 && big <= 3 * small) }'; then
+       'BEGIN { exit !(small > 0 && big <= 30 * small) }'; then
     echo "ci/check.sh: FindByKey at 1M rows (${key1m_ms} ms) costs more than" \
-         "3x FindByKey at 10k rows (${key10k_ms} ms) — key jumps are no" \
-         "longer O(log n)" >&2
+         "30x FindByKey at 10k rows (${key10k_ms} ms) — key jumps grow with" \
+         "the row count again" >&2
     exit 1
   fi
 else
-  echo "ci/check.sh: bench_positional_index not built; skipping key-jump flatness gate"
+  echo "ci/check.sh: bench_positional_index not built; skipping key-jump gate"
 fi
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ TableBinding::TableBinding(int id, Sheet* sheet, int64_t anchor_row,
 
 bool TableBinding::ContainsCell(const Sheet* sheet, int64_t row,
                                 int64_t col) const {
-  if (sheet != sheet_ || table_ == nullptr) return false;
+  if (sheet != sheet_) return false;
   if (col < anchor_col_ ||
       col >= anchor_col_ + static_cast<int64_t>(table_->schema().num_columns())) {
     return false;
@@ -27,7 +27,6 @@ bool TableBinding::ContainsCell(const Sheet* sheet, int64_t row,
 }
 
 Status TableBinding::WriteHeader() {
-  if (table_ == nullptr) return Status::OK();
   const Schema& schema = table_->schema();
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     int64_t col = anchor_col_ + static_cast<int64_t>(c);
@@ -69,7 +68,6 @@ Status TableBinding::ClearRows(size_t start, size_t count) {
 }
 
 Status TableBinding::SetWindow(size_t start, size_t count) {
-  if (table_ == nullptr) return Status::OK();
   if (count == 0) count = default_window_;
   requested_count_ = count;
   size_t n = table_->num_rows();
@@ -110,7 +108,6 @@ Status TableBinding::SetWindow(size_t start, size_t count) {
 }
 
 Status TableBinding::RefreshWindow() {
-  if (table_ == nullptr) return Status::OK();
   size_t n = table_->num_rows();
   size_t start = std::min(window_start_, n);
   // Refresh the *configured* span, not the previously materialized one, so
@@ -131,7 +128,6 @@ Status TableBinding::RefreshWindow() {
 }
 
 Status TableBinding::ClearMaterialized() {
-  if (table_ == nullptr) return Status::OK();  // Detach already cleared
   const Schema& schema = table_->schema();
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     int64_t col = anchor_col_ + static_cast<int64_t>(c);
@@ -144,11 +140,6 @@ Status TableBinding::ClearMaterialized() {
   window_rids_.clear();
   ClearPending();
   return Status::OK();
-}
-
-void TableBinding::Detach() {
-  (void)ClearMaterialized();
-  table_ = nullptr;
 }
 
 void TableBinding::ClearPending() {
@@ -189,7 +180,6 @@ bool TableBinding::NoteChange(const TableChange& change) {
 }
 
 Status TableBinding::RefreshPending() {
-  if (table_ == nullptr) return Status::OK();
   if (pending_full_) return RefreshWindow();
   if (pending_from_ == kNoShift && pending_cells_.empty()) return Status::OK();
   std::vector<std::pair<uint64_t, size_t>> cells;

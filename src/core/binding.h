@@ -30,7 +30,6 @@ class TableBinding {
 
   int id() const { return id_; }
   Sheet* sheet() const { return sheet_; }
-  /// The bound table; null once Detach ran (the table was dropped).
   Table* table() const { return table_; }
   int64_t anchor_row() const { return anchor_row_; }
   int64_t anchor_col() const { return anchor_col_; }
@@ -75,12 +74,6 @@ class TableBinding {
 
   /// Clears every cell the binding materialized (used on unbind).
   Status ClearMaterialized();
-
-  /// Lets go of a table that is being dropped: clears the materialized
-  /// cells and forgets the table. A detached binding covers no cell and
-  /// every window operation on it is a no-op; the `=DBTABLE` anchor's next
-  /// evaluation replaces it.
-  void Detach();
 
   /// Translates a front-end edit at (row, col) into a database mutation:
   /// data cells become keyed UPDATEs (positional when the table has no

@@ -214,17 +214,12 @@ void InterfaceManager::OnTableChanged(const std::string& table_name,
   std::string key = ToLower(table_name);
   // 1. Bindings on this table record the delta; those it left work for
   //    queue a refresh (coalesced per binding).
+  std::vector<int> dropped;
   for (const auto& b : bindings_) {
     if (b->table() != change.table) continue;
     TableBinding* raw = b.get();
     if (change.kind == TableChange::Kind::kDrop) {
-      // The table dies right after this callback: let go of it now, and let
-      // the `=DBTABLE` anchor re-evaluate (it rebinds or reports #NAME?).
-      raw->Detach();
-      engine_->MarkDirty(raw->sheet(), raw->anchor_row(), raw->anchor_col());
-      formula::FormulaEngine* engine = engine_;
-      scheduler_->EnqueueUnique(Priority::kNear, "recalc-dirty",
-                                [engine]() { (void)engine->RecalcDirty(); });
+      dropped.push_back(raw->id());
       continue;
     }
     if (!raw->NoteChange(change)) continue;
@@ -240,6 +235,18 @@ void InterfaceManager::OnTableChanged(const std::string& table_name,
         [this, id = raw->id()]() {
           if (TableBinding* b = FindBinding(id)) (void)b->RefreshPending();
         });
+  }
+  // The table dies right after this callback: unbind its regions, and let
+  // each `=DBTABLE` anchor re-evaluate (it rebinds or reports #NAME?).
+  for (int id : dropped) {
+    TableBinding* b = FindBinding(id);
+    engine_->MarkDirty(b->sheet(), b->anchor_row(), b->anchor_col());
+    (void)Unbind(id);
+  }
+  if (!dropped.empty()) {
+    formula::FormulaEngine* engine = engine_;
+    scheduler_->EnqueueUnique(Priority::kNear, "recalc-dirty",
+                              [engine]() { (void)engine->RecalcDirty(); });
   }
   // 2. Maintained aggregates fold the delta, so their anchors hit the cache.
   if (maintained_.count(key) > 0) FoldIntoMaintained(key, change);
@@ -500,8 +507,7 @@ Value InterfaceManager::EvaluateDbtable(Sheet* sheet, int64_t row, int64_t col,
   for (const auto& b : bindings_) {
     if (b->sheet() == sheet && b->anchor_row() == row &&
         b->anchor_col() == col) {
-      if (b->table() != nullptr &&
-          EqualsIgnoreCase(b->table()->name(), table_name)) {
+      if (EqualsIgnoreCase(b->table()->name(), table_name)) {
         (void)b->RefreshWindow();
         (void)b->WriteHeader();
         return Value::Text(b->table()->schema().num_columns() > 0

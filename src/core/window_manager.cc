@@ -25,7 +25,7 @@ void WindowManager::SetViewport(const Viewport& viewport) {
   // a task so a background worker can overlap it with interaction.
   for (const auto& binding : interface_manager_->bindings()) {
     TableBinding* b = binding.get();
-    if (b->sheet() != viewport_.sheet || b->table() == nullptr) continue;
+    if (b->sheet() != viewport_.sheet) continue;
     int64_t region_c0 = b->anchor_col();
     int64_t region_c1 =
         b->anchor_col() +

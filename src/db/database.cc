@@ -48,7 +48,9 @@ void CollectTableNames(const sql::SelectStmt& stmt,
 
 /// The literal of a bound `WHERE <pk> = <literal>` (either side), or null:
 /// the shape the key-direct UPDATE and DELETE paths serve with one PK probe
-/// instead of a table scan.
+/// instead of a table scan. A literal the key column cannot be compared
+/// with (say TEXT against an INT key) is left to the scan, whose predicate
+/// reports the type error; a probe would just miss and succeed silently.
 const Value* KeyLiteral(const Table& table, const sql::Expr* where) {
   auto pk = table.schema().primary_key_index();
   if (!pk || where == nullptr || where->kind != sql::ExprKind::kBinary ||
@@ -63,7 +65,11 @@ const Value* KeyLiteral(const Table& table, const sql::Expr* where) {
       rhs->kind != sql::ExprKind::kLiteral) {
     return nullptr;
   }
-  return &rhs->literal;
+  DataType key_type = table.schema().columns()[*pk].type;
+  DataType lit_type = rhs->literal.type();
+  bool comparable = lit_type == key_type ||
+                    (IsNumeric(lit_type) && IsNumeric(key_type));
+  return comparable ? &rhs->literal : nullptr;
 }
 
 }  // namespace

@@ -122,9 +122,10 @@ TEST_F(BindingSyncTest, UnbindClearsMaterializedCells) {
             Value::Int(3));
 }
 
-TEST_F(BindingSyncTest, DropTableDetachesItsBindings) {
+TEST_F(BindingSyncTest, DropTableUnbindsItsBindings) {
   ASSERT_TRUE(ds_.ImportTable("S", "A1", "people").ok());
   ASSERT_TRUE(ds_.Sql("DROP TABLE people").ok());
+  EXPECT_TRUE(ds_.interface_manager().bindings().empty());
   // The next pane move must not touch the dropped table.
   ASSERT_TRUE(ds_.ScrollTo("S", 0, 0).ok());
   ASSERT_TRUE(ds_.ScrollTo("S", 2, 0).ok());

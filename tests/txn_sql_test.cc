@@ -252,6 +252,35 @@ TEST_P(TxnSqlTest, RollbackRestoresKeyDirectDeleteAtItsPosition) {
   EXPECT_EQ(table->FindByKey(Value::Int(0)).value(), 0u);
 }
 
+TEST_P(TxnSqlTest, KeyLiteralOfAnotherTypeAgreesWithTheScan) {
+  for (int i = 0; i < 10; ++i) {
+    Run("INSERT INTO t VALUES (" + std::to_string(i) + ", 'v')");
+  }
+  // `id = '5'` has the key-direct shape; `AND 1 = 1` forces the scan. Both
+  // must reject a TEXT literal against the INT key.
+  for (const char* where : {"id = '5'", "id = '5' AND 1 = 1"}) {
+    auto del = db_.Execute(std::string("DELETE FROM t WHERE ") + where);
+    EXPECT_EQ(del.status().code(), StatusCode::kTypeError) << where;
+    auto upd = db_.Execute(std::string("UPDATE t SET v = 'x' WHERE ") + where);
+    EXPECT_EQ(upd.status().code(), StatusCode::kTypeError) << where;
+  }
+  EXPECT_EQ(CountRows(), 10u);
+  // Inside a transaction the failed key-shaped DELETE poisons it.
+  Run("BEGIN");
+  Run("DELETE FROM t WHERE id = 1");
+  EXPECT_FALSE(db_.Execute("DELETE FROM t WHERE id = '5'").ok());
+  EXPECT_EQ(Run("COMMIT").message, "ROLLBACK");
+  EXPECT_EQ(CountRows(), 10u);
+  // A REAL literal equal to an INT key matches on either path.
+  EXPECT_EQ(Run("UPDATE t SET v = 'r' WHERE id = 5.0").affected_rows, 1u);
+  EXPECT_EQ(Run("UPDATE t SET v = 's' WHERE id = 6.0 AND 1 = 1").affected_rows,
+            1u);
+  EXPECT_EQ(Run("DELETE FROM t WHERE id = 5.0").affected_rows, 1u);
+  EXPECT_EQ(Run("DELETE FROM t WHERE id = 6.0 AND 1 = 1").affected_rows, 1u);
+  EXPECT_EQ(Run("DELETE FROM t WHERE id = 7.5").affected_rows, 0u);
+  EXPECT_EQ(CountRows(), 8u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Models, TxnSqlTest,
                          ::testing::Values(StorageModel::kRow,
                                            StorageModel::kColumn,

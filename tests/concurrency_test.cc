@@ -40,6 +40,45 @@ using storage::PagerConfig;
 constexpr uint64_t kSlots = Pager::kSlotsPerPage;
 
 // ---------------------------------------------------------------------------
+// Slot reads racing evictions
+// ---------------------------------------------------------------------------
+
+TEST(ConcurrentPagerTest, SlotReadsSurviveEvictionByAnotherThread) {
+  // Two files whose pages do not fit the pool together: every Read faults
+  // and evicts a frame the other thread may have just read from. A Read
+  // that handed out a reference into the frame let the caller copy another
+  // page's value (or a freed TEXT payload) once the frame was refilled.
+  constexpr uint64_t kPages = 4;
+  PagerConfig config;
+  config.max_resident_pages = 2;
+  Pager pager(config);
+  FileId ints = pager.CreateFile();
+  FileId texts = pager.CreateFile();
+  for (uint64_t s = 0; s < kPages * kSlots; ++s) {
+    pager.Write(ints, s, Value::Int(static_cast<int64_t>(s)));
+    pager.Write(texts, s, Value::Text("text value " + std::to_string(s)));
+  }
+  std::atomic<int> bad{0};
+  auto reader = [&](FileId file, bool want_int, uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < 40000 && bad.load() == 0; ++i) {
+      uint64_t s = rng() % (kPages * kSlots);
+      Value v = pager.Read(file, s);
+      bool ok = want_int
+                    ? v == Value::Int(static_cast<int64_t>(s))
+                    : v == Value::Text("text value " + std::to_string(s));
+      if (!ok) bad.fetch_add(1);
+    }
+  };
+  std::thread a(reader, ints, true, 1);
+  std::thread b(reader, texts, false, 2);
+  reader(ints, true, 3);
+  a.join();
+  b.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
 // N readers + 1 writer over a bounded pool
 // ---------------------------------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_set>
 #include <utility>
 
 #include "common/str_util.h"
@@ -83,8 +82,7 @@ void Table::LogDdl(storage::WalRecordType type) {
 namespace {
 
 /// Writes `rids` as INT values into file slots [start, start+count) — the
-/// one encoding of the order/rid side files; every durable writer below
-/// goes through here so Attach's repairs always read back what DML wrote.
+/// one encoding of the order/rid side files, which Attach reads back.
 void WriteRidSpan(storage::Pager& pager, storage::FileId file, uint64_t start,
                   const uint64_t* rids, size_t count) {
   if (count == 0) return;
@@ -106,19 +104,36 @@ void Table::PersistOrderTail(size_t from) {
                rids.size());
 }
 
-void Table::AdoptRowMaps(const std::vector<uint64_t>& order_rids,
-                         const std::vector<uint64_t>& slot_rids,
-                         uint64_t next_rid_floor) {
-  order_.Build(order_rids);
-  slot_to_rid_ = slot_rids;
+Status Table::AdoptRowMaps(const std::vector<uint64_t>& order_rids,
+                           const std::vector<uint64_t>& slot_rids,
+                           uint64_t next_rid_floor) {
+  // The dense rid→slot map doubles as the validator: a slot rid seen twice,
+  // or an order rid no slot holds (or placed twice), is corruption.
+  constexpr size_t kNoSlot = ~size_t{0};
   uint64_t max_rid = 0;
   for (uint64_t rid : slot_rids) max_rid = std::max(max_rid, rid + 1);
-  rid_to_slot_.assign(max_rid, 0);
+  rid_to_slot_.assign(max_rid, kNoSlot);
   for (size_t slot = 0; slot < slot_rids.size(); ++slot) {
-    rid_to_slot_[slot_rids[slot]] = slot;
+    size_t& mapped = rid_to_slot_[slot_rids[slot]];
+    if (mapped != kNoSlot) {
+      return Status::Internal("rid file names a row id twice");
+    }
+    mapped = slot;
   }
+  std::vector<bool> placed(slot_rids.size(), false);
+  for (uint64_t rid : order_rids) {
+    if (rid >= max_rid || rid_to_slot_[rid] == kNoSlot ||
+        placed[rid_to_slot_[rid]]) {
+      return Status::Internal(
+          "order file is not a permutation of the rid file");
+    }
+    placed[rid_to_slot_[rid]] = true;
+  }
+  order_.Build(order_rids);
+  slot_to_rid_ = slot_rids;
   next_rid_ = std::max(next_rid_floor, max_rid);
   RebuildPkIndex();
+  return Status::OK();
 }
 
 namespace {
@@ -140,48 +155,6 @@ Result<std::vector<uint64_t>> ReadRidFile(storage::Pager& pager,
   return rids;
 }
 
-/// Index of the first value appearing twice in `rids`, or rids.size().
-size_t FirstDuplicateIndex(const std::vector<uint64_t>& rids) {
-  std::unordered_set<uint64_t> seen;
-  for (size_t i = 0; i < rids.size(); ++i) {
-    if (!seen.insert(rids[i]).second) {
-      // Return the *earlier* occurrence: the completed half of a torn
-      // delete's rid move (the stale copy sits at the tail).
-      for (size_t j = 0; j < i; ++j) {
-        if (rids[j] == rids[i]) return j;
-      }
-    }
-  }
-  return rids.size();
-}
-
-bool SameRidSets(const std::vector<uint64_t>& a,
-                 const std::vector<uint64_t>& b) {
-  if (a.size() != b.size()) return false;
-  std::unordered_set<uint64_t> sa(a.begin(), a.end());
-  if (sa.size() != a.size()) return false;  // duplicates disqualify...
-  std::unordered_set<uint64_t> sb(b.begin(), b.end());
-  if (sb.size() != b.size()) return false;  // ...on either side
-  for (uint64_t rid : b) {
-    if (sa.count(rid) == 0) return false;
-  }
-  return true;
-}
-
-/// The single element of set(a) − set(b), or nullopt if not exactly one.
-std::optional<uint64_t> LoneExtra(const std::vector<uint64_t>& a,
-                                  const std::vector<uint64_t>& b) {
-  std::unordered_set<uint64_t> sb(b.begin(), b.end());
-  std::optional<uint64_t> extra;
-  for (uint64_t rid : a) {
-    if (sb.count(rid) == 0) {
-      if (extra.has_value()) return std::nullopt;
-      extra = rid;
-    }
-  }
-  return extra;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<Table>> Table::Attach(const TableDescriptor& desc,
@@ -194,172 +167,26 @@ Result<std::unique_ptr<Table>> Table::Attach(const TableDescriptor& desc,
   if (desc.manifest.num_columns != desc.schema.num_columns()) {
     return Status::Internal("catalog schema/manifest arity mismatch");
   }
-  uint64_t o = pager->FileSize(desc.order_file);
-  uint64_t r = pager->FileSize(desc.rid_file);
-  DS_ASSIGN_OR_RETURN(uint64_t h, ManifestRows(desc.manifest, *pager));
-  constexpr uint64_t kUnknown = ~uint64_t{0};
+  // Recovery replays only closed statement brackets and snapshots never
+  // split one (DESIGN.md §7), so the files sit at a committed boundary: the
+  // order file's length is the row count, and every other file must agree.
+  uint64_t n = pager->FileSize(desc.order_file);
+  if (pager->FileSize(desc.rid_file) != n) {
+    return Status::Internal("order and rid files disagree on the row count");
+  }
   DS_ASSIGN_OR_RETURN(std::vector<uint64_t> order_rids,
-                      ReadRidFile(*pager, desc.order_file, o));
+                      ReadRidFile(*pager, desc.order_file, n));
   DS_ASSIGN_OR_RETURN(std::vector<uint64_t> slot_rids,
-                      ReadRidFile(*pager, desc.rid_file, r));
-
-  // Reconcile the (at most one) statement torn by the crash. Since WAL
-  // statement brackets (DESIGN.md §7), recovery itself discards the torn
-  // statement's records wholesale, so logs written by this engine always
-  // land here at a committed boundary (o == r == h, clean rid sets) and
-  // the reconciliation below is a *fallback* for pre-bracket logs, not the
-  // contract. For those, DML writes in a fixed order — insert: order, rid,
-  // data; delete: rid overwrite, order, data, rid truncate — so the
-  // file-size signature identifies the torn phase (DESIGN.md §6 "Catalog
-  // recovery" walks the cases). Anything the cases below cannot prove
-  // consistent falls back to a deterministic rebuild: display order
-  // degrades to storage order for the torn tail — never for state behind a
-  // durability barrier.
-  std::unique_ptr<TableStorage> storage;
-  bool rebuilt = false;
-  bool rewrite_order = false;  // a repair touched mid-file order slots
-
-  // Pre-pass: an *adjacent duplicate* in the order file can only be a torn
-  // delete cut between its order-shift record(s) and the order truncate —
-  // the shift writes old[j+1] into slot j, so the un-truncated (or not yet
-  // shifted) neighbor repeats it. Splicing out the later copy completes the
-  // shift exactly (nothing is lost in a shift-down) and re-joins the
-  // delete's normal torn-phase handling below.
-  for (size_t i = 0; i + 1 < order_rids.size(); ++i) {
-    if (order_rids[i] != order_rids[i + 1]) continue;
-    std::unordered_set<uint64_t> s(order_rids.begin(), order_rids.end());
-    if (s.size() == order_rids.size() - 1) {  // exactly this one duplicate
-      order_rids.erase(order_rids.begin() + static_cast<ptrdiff_t>(i) + 1);
-      pager->Truncate(desc.order_file, order_rids.size());
-      o = order_rids.size();
-      rewrite_order = true;
-    }
-    break;
-  }
-
-  size_t dup = FirstDuplicateIndex(slot_rids);
-
-  if (o == r + 1 && (h == kUnknown || h == r)) {
-    // Torn insert, order write only: drop the order entry whose rid the rid
-    // file never learned. The on-disk order file still holds the shifted
-    // tail, so it is rewritten from the repaired order below.
-    std::optional<uint64_t> extra = LoneExtra(order_rids, slot_rids);
-    if (extra.has_value()) {
-      order_rids.erase(
-          std::find(order_rids.begin(), order_rids.end(), *extra));
-      pager->Truncate(desc.order_file, r);
-      o = r;
-      rewrite_order = true;
-    }
-  } else if (o == r && h != kUnknown && h + 1 == o && o > 0 &&
-             dup == slot_rids.size()) {
-    // Torn insert, order + rid written, data row incomplete: the phantom
-    // rid is the rid file's append (its last slot); undo both (and rewrite
-    // the order file's shifted tail below).
-    uint64_t phantom = slot_rids.back();
-    auto it = std::find(order_rids.begin(), order_rids.end(), phantom);
-    if (it != order_rids.end()) {
-      order_rids.erase(it);
-      slot_rids.pop_back();
-      pager->Truncate(desc.rid_file, h);
-      pager->Truncate(desc.order_file, h);
-      o = r = h;
-      rewrite_order = true;
-    }
-  } else if (o == r && dup < slot_rids.size() && o > 0) {
-    // Torn delete, rid overwrite only (order/data untouched): restore the
-    // overwritten rid from the order file and the delete never happened.
-    std::optional<uint64_t> missing = LoneExtra(order_rids, slot_rids);
-    if (missing.has_value()) {
-      slot_rids[dup] = *missing;
-      pager->Write(desc.rid_file, dup,
-                   Value::Int(static_cast<int64_t>(*missing)));
-    }
-  } else if (o + 1 == r && r > 0) {
-    // Torn delete past the order update: the rid file still carries its
-    // stale tail entry. Finish the job. The stores' durable DeleteRow runs
-    // copy-all-then-truncate-all phases, so h == r means no file was
-    // truncated yet and the whole delete can be redone from the intact
-    // last row; h < r means every copy landed and trimming suffices.
-    size_t vacated = dup < slot_rids.size() ? dup : slot_rids.size() - 1;
-    if (desc.manifest.model == StorageModel::kRcv) {
-      // RCV (h unknowable): rebind with the last row intact, re-copy its
-      // still-materialized cells over the vacated row (phases are strictly
-      // ordered, so an already-erased cell was already copied), then erase
-      // the last row's remnants.
-      DS_ASSIGN_OR_RETURN(storage, AttachStorage(desc.manifest, r, pager));
-      if (vacated != static_cast<size_t>(r) - 1) {
-        for (size_t c = 0; c < storage->num_columns(); ++c) {
-          DS_ASSIGN_OR_RETURN(Value v, storage->Get(r - 1, c));
-          if (!v.is_null()) {
-            DS_RETURN_IF_ERROR(storage->Set(vacated, c, std::move(v)));
-          }
-        }
-      }
-      DS_RETURN_IF_ERROR(storage->DeleteRow(r - 1).status());
-    } else if (h == r) {
-      DS_ASSIGN_OR_RETURN(storage, AttachStorage(desc.manifest, r, pager));
-      DS_RETURN_IF_ERROR(storage->DeleteRow(vacated).status());
-    }
-    slot_rids.pop_back();
-    pager->Truncate(desc.rid_file, o);
-    r = o;
-  }
-
-  // The authoritative recovered row count: the order file, cross-checked
-  // against the others.
-  uint64_t n = std::min(o, r);
-  if (h != kUnknown) n = std::min(n, h);
-  if (o == n && r == n && !SameRidSets(order_rids, slot_rids)) {
-    // One rid extra in the order and one missing, sizes agreeing: a crash
-    // inside a *multi-page* order shift of an unacknowledged middle insert
-    // (the shift-up overwrites one shifted-out rid before its new slot's
-    // page record lands). The phantom's position is exact; the overwritten
-    // rid's original position is unrecoverable, so it takes the phantom's
-    // slot — at worst one unacknowledged-window row displaced, never a
-    // wholesale order loss.
-    std::optional<uint64_t> extra = LoneExtra(order_rids, slot_rids);
-    std::optional<uint64_t> missing = LoneExtra(slot_rids, order_rids);
-    std::unordered_set<uint64_t> so(order_rids.begin(), order_rids.end());
-    if (extra.has_value() && missing.has_value() &&
-        so.size() == order_rids.size()) {
-      *std::find(order_rids.begin(), order_rids.end(), *extra) = *missing;
-      rewrite_order = true;
-    }
-  }
-  // Any residual disagreement → deterministic rebuild.
-  if (o != n || r != n || !SameRidSets(order_rids, slot_rids)) {
-    rebuilt = true;
-    slot_rids.resize(static_cast<size_t>(n));
-    std::unordered_set<uint64_t> unique(slot_rids.begin(), slot_rids.end());
-    if (unique.size() != slot_rids.size()) {
-      for (size_t s = 0; s < slot_rids.size(); ++s) slot_rids[s] = s;
-    }
-    order_rids = slot_rids;
-  }
-
-  if (storage == nullptr) {
-    DS_ASSIGN_OR_RETURN(storage, AttachStorage(desc.manifest, n, pager));
-  }
-
+                      ReadRidFile(*pager, desc.rid_file, n));
+  DS_ASSIGN_OR_RETURN(std::unique_ptr<TableStorage> storage,
+                      AttachStorage(desc.manifest, n, pager));
   auto table = std::unique_ptr<Table>(
       new Table(desc.name, desc.schema, std::move(storage)));
   table->order_file_ = desc.order_file;
   table->rid_file_ = desc.rid_file;
   table->set_retain_files(true);
-  table->AdoptRowMaps(order_rids, slot_rids, desc.next_rid);
-  // Make any repair durable so the next reopen starts clean: a repaired
-  // order must reach its file (the torn-insert cases leave a shifted tail
-  // on disk), and a full rebuild rewrites both side files.
-  if (rebuilt || rewrite_order) {
-    pager->Truncate(desc.order_file, n);
-    table->PersistOrderTail(0);
-  }
-  if (rebuilt) {
-    pager->Truncate(desc.rid_file, n);
-    WriteRidSpan(*pager, desc.rid_file, 0, slot_rids.data(),
-                 slot_rids.size());
-  }
+  DS_RETURN_IF_ERROR(
+      table->AdoptRowMaps(order_rids, slot_rids, desc.next_rid));
   return table;
 }
 
@@ -475,15 +302,11 @@ Status Table::InsertRowAtWithRid(size_t pos, Row row, uint64_t rid) {
   }
   // Statement bracket: recovery applies the records below only if the
   // closing kTxnCommit survived, so a crash mid-insert rolls the whole row
-  // away — Attach's torn-statement reconciliation is now a fallback for
-  // pre-bracket logs, not the contract (DESIGN.md §7).
+  // away and the write order within the statement is free (DESIGN.md §7).
   storage::StatementScope txn(storage_->pager(), write_txn_);
   if (durable()) {
-    // Durable write order — order tail, rid append, then the data row — is
-    // load-bearing: a crash can tear the statement at any record boundary,
-    // and Attach identifies the torn phase from the three file sizes
-    // (DESIGN.md §6 "Catalog recovery"). The order file gets the shifted
-    // tail [pos, n]: one slot for an append, O(n − pos) for a middle insert.
+    // The order file gets the shifted tail [pos, n]: one slot for an
+    // append, O(n − pos) for a middle insert; the rid file one slot.
     storage::Pager& pager = storage_->pager();
     size_t n = order_.size();
     std::vector<uint64_t> tail;
@@ -535,9 +358,8 @@ Status Table::DeleteRowAt(size_t pos) {
   size_t slot = SlotOf(rid);
   Row before;
   if (undo_ != nullptr || !listeners_.empty()) {
-    // Capture the full tuple before any mutation — the RCV pre-step below
-    // nulls cells in place, so this read cannot wait. The undo journal and
-    // the kDelete delta both carry it.
+    // Capture the full tuple before the storage swap overwrites it. The
+    // undo journal and the kDelete delta both carry it.
     DS_ASSIGN_OR_RETURN(before, storage_->GetRow(slot));
   }
   // Statement bracket: the rid move, order rewrite, data swap, and
@@ -549,27 +371,10 @@ Status Table::DeleteRowAt(size_t pos) {
     pk_index_.Erase(KeyIndex::HashOf(key), rid);
   }
   size_t n = order_.size();
-  if (durable() && storage_->model() == StorageModel::kRcv && slot != n - 1) {
-    // RCV pre-step: erase the vacated row's cells wherever the moved (last)
-    // row holds NULL, *before* any repair-visible marker lands. The
-    // torn-delete repair copies the moved row's materialized cells but can
-    // never safely erase (a NULL read is ambiguous between "genuinely NULL"
-    // and "already erased by the delete"); clearing these cells up front
-    // removes the ambiguity — a crash in this window merely leaves the
-    // un-deleted row with some cells nulled, the documented RCV partial
-    // window (docs/DURABILITY.md).
-    for (size_t c = 0; c < schema_.num_columns(); ++c) {
-      DS_ASSIGN_OR_RETURN(Value moved_cell, storage_->Get(n - 1, c));
-      if (moved_cell.is_null()) {
-        DS_RETURN_IF_ERROR(storage_->Set(slot, c, Value::Null()));
-      }
-    }
-  }
   if (durable()) {
-    // Durable write order — rid overwrite, shifted order tail + truncate,
-    // data swap, rid truncate — mirrors the insert path's recoverability
-    // contract (DESIGN.md §6): storage deletion is deterministic
-    // swap-with-last, so the rid move can be logged *before* the data moves.
+    // Storage deletion is deterministic swap-with-last, so the rid file
+    // takes the moved row's id at `slot` and loses its last slot; the order
+    // file loses position `pos` (the shifted tail is rewritten).
     storage::Pager& pager = storage_->pager();
     if (slot != n - 1) {
       uint64_t moved = slot_to_rid_[n - 1];

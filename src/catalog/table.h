@@ -84,14 +84,14 @@ class Table {
       storage::Pager* pager = nullptr,
       const storage::PagerConfig& pager_config = {});
 
-  /// Rebinds a table to its recovered pager files — the reopen path. The
-  /// storage is attached to the manifest's files, the display order and id
-  /// maps are read back from the descriptor's side files, and the pk index
-  /// is rebuilt from data. WAL statement brackets make recovery itself
-  /// discard any statement torn by a crash (DESIGN.md §7), so this normally
-  /// sees a committed boundary; the legacy torn-statement reconciliation
-  /// (DESIGN.md §6) is retained as a fallback for pre-bracket logs.
-  /// Anything beyond that is corruption and fails.
+  /// Rebinds a table to its recovered pager files — the reopen path. WAL
+  /// statement brackets make recovery discard any statement torn by a crash
+  /// (DESIGN.md §7), so the files sit at a committed boundary and Attach
+  /// only validates: the order and rid files must have the same length n,
+  /// the storage files must hold exactly n rows, and the order must be a
+  /// permutation of the rid file's row ids. It then adopts them and rebuilds
+  /// the pk index from data. Any disagreement is corruption: Internal, no
+  /// repair.
   static Result<std::unique_ptr<Table>> Attach(const TableDescriptor& desc,
                                                storage::Pager* pager);
 
@@ -269,10 +269,12 @@ class Table {
   void PersistOrderTail(size_t from);
   /// Appends a catalog DDL record carrying this table's full descriptor.
   void LogDdl(storage::WalRecordType type);
-  /// Installs recovered order/rid maps (Attach's last step).
-  void AdoptRowMaps(const std::vector<uint64_t>& order_rids,
-                    const std::vector<uint64_t>& slot_rids,
-                    uint64_t next_rid_floor);
+  /// Installs recovered order/rid maps of equal length (Attach's last
+  /// step); fails with Internal unless `slot_rids` are unique and
+  /// `order_rids` is a permutation of them.
+  Status AdoptRowMaps(const std::vector<uint64_t>& order_rids,
+                      const std::vector<uint64_t>& slot_rids,
+                      uint64_t next_rid_floor);
 
   std::string name_;
   Schema schema_;

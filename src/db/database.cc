@@ -303,14 +303,12 @@ void Database::RecoverCatalog() {
   for (const TableDescriptor& desc : descriptors.value()) {
     auto table = Table::Attach(desc, &pager_);
     die_on(table.status(), " for table '" + desc.name + "'");
+    // Attach binds exactly the descriptor's files (it validates, never
+    // repairs), so the descriptor names everything the sweep must keep.
     referenced.insert(desc.order_file);
     referenced.insert(desc.rid_file);
-    // Use the *attached* table's manifest, not the recovered descriptor's:
-    // Attach may have repaired a torn statement, but bindings come from it
-    // either way and this keeps the sweep honest against the live state.
-    TableDescriptor live = table.value()->Describe();
-    for (uint64_t f : live.manifest.files) referenced.insert(f);
-    for (const StorageManifest::Group& g : live.manifest.groups) {
+    for (uint64_t f : desc.manifest.files) referenced.insert(f);
+    for (const StorageManifest::Group& g : desc.manifest.groups) {
       referenced.insert(g.file);
     }
     auto adopted = catalog_.AdoptTable(std::move(table).value());

@@ -19,7 +19,7 @@ class ColumnStore : public TableStorage {
   ~ColumnStore() override;
 
   /// Rebinds to recovered per-column heaps (manifest.files[c] = column c);
-  /// see AttachStorage for the num_rows / truncation contract.
+  /// see AttachStorage for the exact-size contract.
   static Result<std::unique_ptr<ColumnStore>> Attach(
       const StorageManifest& manifest, uint64_t num_rows,
       storage::Pager* pager);

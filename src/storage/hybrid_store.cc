@@ -55,12 +55,10 @@ Result<std::unique_ptr<HybridStore>> HybridStore::Attach(
       return Status::Internal("hybrid manifest group is malformed or names a "
                               "dead file");
     }
-    uint64_t want = num_rows * mg.width;
-    if (pager->FileSize(mg.file) < want) {
-      return Status::Internal("recovered attribute group is shorter than the "
-                              "catalog's row count — durability hole");
+    if (pager->FileSize(mg.file) != num_rows * mg.width) {
+      return Status::Internal("recovered attribute group disagrees with the "
+                              "catalog's row count");
     }
-    if (pager->FileSize(mg.file) > want) pager->Truncate(mg.file, want);
     Group g;
     g.width = mg.width;
     g.file = mg.file;
@@ -234,31 +232,15 @@ Result<size_t> HybridStore::AppendRow(const Row& row) {
 Result<size_t> HybridStore::DeleteRow(size_t row) {
   if (row >= num_rows_) return Status::OutOfRange("row " + std::to_string(row));
   size_t last = num_rows_ - 1;
-  if (pager_->durable()) {
-    // Copy-all then truncate-all with non-destructive reads (see
-    // ColumnStore::DeleteRow): keeps a crash-torn delete redoable and the
-    // per-group size signature sound.
-    if (row != last) {
-      for (const Group& g : groups_) {
-        for (size_t o = 0; o < g.width; ++o) {
-          pager_->Write(g.file, Entry(g, row, o),
-                        pager_->Read(g.file, Entry(g, last, o)));
-        }
-      }
-    }
+  if (row != last) {
     for (const Group& g : groups_) {
-      pager_->Truncate(g.file, last * g.width);
-    }
-    num_rows_ -= 1;
-    return last;
-  }
-  for (const Group& g : groups_) {
-    if (row != last) {
       for (size_t o = 0; o < g.width; ++o) {
         pager_->Write(g.file, Entry(g, row, o),
-                      pager_->Take(g.file, Entry(g, last, o)));
+                      pager_->Read(g.file, Entry(g, last, o)));
       }
     }
+  }
+  for (const Group& g : groups_) {
     pager_->Truncate(g.file, last * g.width);
   }
   num_rows_ -= 1;

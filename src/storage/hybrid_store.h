@@ -28,7 +28,7 @@ class HybridStore : public TableStorage {
 
   /// Rebinds to recovered attribute-group files (manifest.groups carries the
   /// group→file structure and each group's column list); see AttachStorage
-  /// for the num_rows / truncation contract.
+  /// for the exact-size contract.
   static Result<std::unique_ptr<HybridStore>> Attach(
       const StorageManifest& manifest, uint64_t num_rows,
       storage::Pager* pager);

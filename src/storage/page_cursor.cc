@@ -1,20 +1,9 @@
 #include "storage/page_cursor.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
-// Same policy as the pager's own checks: misuse aborts loudly rather than
-// silently corrupting a recycled frame.
-#define DS_CURSOR_CHECK(cond, msg)                                    \
-  do {                                                                \
-    if (!(cond)) {                                                    \
-      std::fprintf(stderr, "storage::PageCursor check failed: %s\n",  \
-                   (msg));                                            \
-      std::abort();                                                   \
-    }                                                                 \
-  } while (0)
+#include "storage/value_codec.h"
 
 namespace dataspread {
 namespace storage {
@@ -113,8 +102,8 @@ void PageCursor::Seek(uint64_t page_index, bool grow) {
   if (grow) {
     p.EnsureCapacity(file_, *chain_, page_index * Pager::kSlotsPerPage);
   } else {
-    DS_CURSOR_CHECK(page_index < chain_->pages.size(),
-                    "cursor access past file end");
+    DS_STORAGE_CHECK("PageCursor", page_index < chain_->pages.size(),
+                     "cursor access past file end");
   }
   ValuePage& page = p.PageAt(file_, *chain_, page_index);
   p.MaybePromote(page);
@@ -174,9 +163,10 @@ const Value& PageCursor::Read(uint64_t slot) {
 
 const Value* PageCursor::ReadSpan(uint64_t slot, uint64_t count) {
   uint64_t page_index = slot / Pager::kSlotsPerPage;
-  DS_CURSOR_CHECK(count > 0 &&
-                      (slot + count - 1) / Pager::kSlotsPerPage == page_index,
-                  "ReadSpan straddles a page boundary");
+  DS_STORAGE_CHECK("PageCursor",
+                   count > 0 &&
+                       (slot + count - 1) / Pager::kSlotsPerPage == page_index,
+                   "ReadSpan straddles a page boundary");
   if (page_ == nullptr || page_index != page_index_) {
     Seek(page_index, /*grow=*/false);
   }

@@ -7,18 +7,6 @@
 
 #include "storage/value_codec.h"
 
-// API-misuse checks stay on in release builds: the pager recycles frames, so
-// an out-of-range access or a freed-while-pinned page would otherwise corrupt
-// another file's data silently. One predictable branch per call.
-#define DS_PAGER_CHECK(cond, msg)                                  \
-  do {                                                             \
-    if (!(cond)) {                                                 \
-      std::fprintf(stderr, "storage::Pager check failed: %s\n",    \
-                   (msg));                                         \
-      std::abort();                                                \
-    }                                                              \
-  } while (0)
-
 namespace dataspread {
 namespace storage {
 
@@ -44,13 +32,14 @@ Pager::Pager(PagerConfig config)
   if (!config_.wal_path.empty()) {
     // The durable pair: the WAL is the redo half, the named persistent
     // spill file the data half — both or neither.
-    DS_PAGER_CHECK(config_.durable_spill && !config_.spill_path.empty(),
-                   "wal_path requires durable_spill and a named spill_path");
+    DS_STORAGE_CHECK("Pager",
+                     config_.durable_spill && !config_.spill_path.empty(),
+                     "wal_path requires durable_spill and a named spill_path");
     wal_ = std::make_unique<Wal>(config_.wal_path);
     Recover();
   } else {
-    DS_PAGER_CHECK(!config_.durable_spill,
-                   "durable_spill without a wal_path cannot be recovered");
+    DS_STORAGE_CHECK("Pager", !config_.durable_spill,
+                     "durable_spill without a wal_path cannot be recovered");
   }
 }
 
@@ -125,13 +114,13 @@ FileId Pager::CreateFile() {
 
 Pager::FileChain& Pager::ChainOrDie(FileId file) {
   auto it = files_.find(file);
-  DS_PAGER_CHECK(it != files_.end(), "unknown storage file");
+  DS_STORAGE_CHECK("Pager", it != files_.end(), "unknown storage file");
   return it->second;
 }
 
 const Pager::FileChain& Pager::ChainOrDie(FileId file) const {
   auto it = files_.find(file);
-  DS_PAGER_CHECK(it != files_.end(), "unknown storage file");
+  DS_STORAGE_CHECK("Pager", it != files_.end(), "unknown storage file");
   return it->second;
 }
 
@@ -173,8 +162,8 @@ void Pager::WriteBack(ValuePage& page, PageRef& ref) {
   // records that would rebuild this page's pre-statement image are inside
   // the bracket too. Victim selection already skips such pages; this is the
   // backstop.
-  DS_PAGER_CHECK(!StatementDirty(page),
-                 "write-back of a page dirtied by an uncommitted statement");
+  DS_STORAGE_CHECK("Pager", !StatementDirty(page),
+                   "write-back of a page dirtied by an uncommitted statement");
   // The WAL rule, enforced at the single spot every page write funnels
   // through: the redo records producing this image must be durable before
   // the image can overwrite the on-disk copy (flushed-LSN >= page_lsn).
@@ -209,8 +198,8 @@ void Pager::ReleaseFrame(PageId id) {
 }
 
 void Pager::EvictPage(ValuePage& page) {
-  DS_PAGER_CHECK(!page.is_free() && page.pin_count_ == 0,
-                 "evicting a free or pinned page");
+  DS_STORAGE_CHECK("Pager", !page.is_free() && page.pin_count_ == 0,
+                   "evicting a free or pinned page");
   FileChain& chain = ChainOrDie(page.file_);
   PageRef& ref = chain.pages[page.index_in_file_];
   // A dirty page needs write-back; a clean page only needs one if it has
@@ -339,7 +328,7 @@ void Pager::EnsureFrameLatches() {
 
 void Pager::FaultIn(FileId file, FileChain& chain, uint64_t page_index) {
   PageRef& ref = chain.pages[page_index];
-  DS_PAGER_CHECK(!ref.resident(), "faulting a resident page");
+  DS_STORAGE_CHECK("Pager", !ref.resident(), "faulting a resident page");
   PageId frame = AcquireFrame();  // may evict; `ref` stays valid (no resize)
   ValuePage& page = *page_table_[frame];
   page.file_ = file;
@@ -378,7 +367,7 @@ void Pager::FaultIn(FileId file, FileChain& chain, uint64_t page_index) {
 void Pager::FreePage(PageRef& ref, std::vector<uint64_t>* deferred_slots) {
   if (ref.resident()) {
     ValuePage& page = *page_table_[ref.frame];
-    DS_PAGER_CHECK(page.pin_count_ == 0, "freeing a pinned page");
+    DS_STORAGE_CHECK("Pager", page.pin_count_ == 0, "freeing a pinned page");
     ReleaseFrame(ref.frame);
     ref.frame = PageRef::kNoFrame;
   }
@@ -495,8 +484,8 @@ void Pager::NoteEpochWrite(FileId file, uint64_t page_index) {
 Value Pager::Read(FileId file, uint64_t slot) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FileChain& chain = ChainOrDie(file);
-  DS_PAGER_CHECK(slot < chain.pages.size() * kSlotsPerPage,
-                 "read past file end");
+  DS_STORAGE_CHECK("Pager", slot < chain.pages.size() * kSlotsPerPage,
+                   "read past file end");
   NoteSlotAccess(chain, slot / kSlotsPerPage);
   ValuePage& page = PageForSlot(file, chain, slot);
   MaybePromote(page);
@@ -508,8 +497,8 @@ void Pager::ReadRange(FileId file, uint64_t start, uint64_t count, Row* out) {
   if (count == 0) return;
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FileChain& chain = ChainOrDie(file);
-  DS_PAGER_CHECK(start + count <= chain.pages.size() * kSlotsPerPage,
-                 "read range past file end");
+  DS_STORAGE_CHECK("Pager", start + count <= chain.pages.size() * kSlotsPerPage,
+                   "read range past file end");
   out->reserve(out->size() + count);
   // Page by page: each page is faulted in (possibly evicting an earlier one
   // of this very range — its values are already copied out) and drained
@@ -599,8 +588,8 @@ void Pager::WriteRange(FileId file, uint64_t start, const Value* values,
 Value Pager::Take(FileId file, uint64_t slot) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   FileChain& chain = ChainOrDie(file);
-  DS_PAGER_CHECK(slot < chain.pages.size() * kSlotsPerPage,
-                 "take past file end");
+  DS_STORAGE_CHECK("Pager", slot < chain.pages.size() * kSlotsPerPage,
+                   "take past file end");
   NoteSlotAccess(chain, slot / kSlotsPerPage);
   ValuePage& page = PageForSlot(file, chain, slot);
   MaybePromote(page);
@@ -711,7 +700,8 @@ ValuePage* Pager::Pin(FileId file, uint64_t page_index) {
 
 void Pager::Unpin(ValuePage* page, bool dirtied) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  DS_PAGER_CHECK(page != nullptr && page->pin_count_ > 0, "unbalanced Unpin");
+  DS_STORAGE_CHECK("Pager", page != nullptr && page->pin_count_ > 0,
+                   "unbalanced Unpin");
   page->pin_count_ -= 1;
   if (dirtied) {
     page->dirty_ = true;
@@ -917,8 +907,8 @@ TxnId Pager::BeginStatement(TxnId txn) {
     txns_.emplace(txn, std::move(ctx));
   }
   auto it = txns_.find(txn);
-  DS_PAGER_CHECK(it != txns_.end(),
-                 "BeginStatement under an unknown transaction");
+  DS_STORAGE_CHECK("Pager", it != txns_.end(),
+                   "BeginStatement under an unknown transaction");
   it->second.depth += 1;
   tls_txn_binds.push_back(TxnBindEntry{pager_uid_, txn});
   return txn;
@@ -936,10 +926,11 @@ uint64_t Pager::EndStatement(bool commit) {
     binds.erase(binds.begin() + static_cast<ptrdiff_t>(i));
     break;
   }
-  DS_PAGER_CHECK(txn != 0, "EndStatement without BeginStatement");
+  DS_STORAGE_CHECK("Pager", txn != 0, "EndStatement without BeginStatement");
   auto it = txns_.find(txn);
-  DS_PAGER_CHECK(it != txns_.end(), "EndStatement on a closed transaction");
-  DS_PAGER_CHECK(it->second.depth > 0, "unbalanced EndStatement");
+  DS_STORAGE_CHECK("Pager", it != txns_.end(),
+                   "EndStatement on a closed transaction");
+  DS_STORAGE_CHECK("Pager", it->second.depth > 0, "unbalanced EndStatement");
   it->second.depth -= 1;
   if (it->second.depth > 0 || !it->second.autocommit) return 0;
   return CloseCtx(txn, commit);
@@ -957,9 +948,10 @@ TxnId Pager::BeginTxn() {
 uint64_t Pager::CommitTxn(TxnId txn) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = txns_.find(txn);
-  DS_PAGER_CHECK(it != txns_.end(), "CommitTxn on an unknown transaction");
-  DS_PAGER_CHECK(it->second.depth == 1 && !it->second.autocommit,
-                 "CommitTxn with statements still open");
+  DS_STORAGE_CHECK("Pager", it != txns_.end(),
+                   "CommitTxn on an unknown transaction");
+  DS_STORAGE_CHECK("Pager", it->second.depth == 1 && !it->second.autocommit,
+                   "CommitTxn with statements still open");
   it->second.depth = 0;
   return CloseCtx(txn, /*commit=*/true);
 }
@@ -967,9 +959,10 @@ uint64_t Pager::CommitTxn(TxnId txn) {
 uint64_t Pager::AbortTxn(TxnId txn) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = txns_.find(txn);
-  DS_PAGER_CHECK(it != txns_.end(), "AbortTxn on an unknown transaction");
-  DS_PAGER_CHECK(it->second.depth == 1 && !it->second.autocommit,
-                 "AbortTxn with statements still open");
+  DS_STORAGE_CHECK("Pager", it != txns_.end(),
+                   "AbortTxn on an unknown transaction");
+  DS_STORAGE_CHECK("Pager", it->second.depth == 1 && !it->second.autocommit,
+                   "AbortTxn with statements still open");
   it->second.depth = 0;
   return CloseCtx(txn, /*commit=*/false);
 }
@@ -1040,10 +1033,10 @@ void Pager::MaybeAutoCheckpoint() {
 }
 
 size_t Pager::CheckpointInternal() {
-  DS_PAGER_CHECK(wal_ != nullptr && !in_checkpoint_,
-                 "checkpoint without a WAL or re-entered");
-  DS_PAGER_CHECK(open_brackets_ == 0,
-                 "checkpoint inside an open statement bracket");
+  DS_STORAGE_CHECK("Pager", wal_ != nullptr && !in_checkpoint_,
+                   "checkpoint without a WAL or re-entered");
+  DS_STORAGE_CHECK("Pager", open_brackets_ == 0,
+                   "checkpoint inside an open statement bracket");
   in_checkpoint_ = true;
   // Begin record: the dirty-page table as of checkpoint start. Redo-only
   // replay does not need it (it replays everything since the snapshot), but
@@ -1208,7 +1201,7 @@ void Pager::RestoreSnapshot(const std::string& payload) {
     }
   }
   ok = ok && pos == payload.size();
-  DS_PAGER_CHECK(ok, "malformed WAL checkpoint snapshot");
+  DS_STORAGE_CHECK("Pager", ok, "malformed WAL checkpoint snapshot");
   if (!dir.slots.empty() || dir.end_offset > 0) {
     EnsureSpill().RestoreDirectory(dir);
   }
@@ -1236,8 +1229,8 @@ void Pager::ApplyUpdateRecord(const Wal::Record& rec) {
             ReadU16(rec.payload, &pos, &first) &&
             ReadU16(rec.payload, &pos, &count) &&
             ReadU64(rec.payload, &pos, &size);
-  DS_PAGER_CHECK(ok && count > 0 && first + count <= kSlotsPerPage,
-                 "malformed WAL update record");
+  DS_STORAGE_CHECK("Pager", ok && count > 0 && first + count <= kSlotsPerPage,
+                   "malformed WAL update record");
   FileChain& chain = ChainOrDie(file);
   mount_sequential_ = false;
   EnsureCapacity(file, chain,
@@ -1255,11 +1248,12 @@ void Pager::ApplyUpdateRecord(const Wal::Record& rec) {
   }
   for (uint64_t i = first; i < static_cast<uint64_t>(first) + count; ++i) {
     Value v;
-    DS_PAGER_CHECK(DecodeValue(rec.payload, &pos, &v),
-                   "malformed WAL update values");
+    DS_STORAGE_CHECK("Pager", DecodeValue(rec.payload, &pos, &v),
+                     "malformed WAL update values");
     page->slot(i) = std::move(v);
   }
-  DS_PAGER_CHECK(pos == rec.payload.size(), "trailing WAL update bytes");
+  DS_STORAGE_CHECK("Pager", pos == rec.payload.size(),
+                   "trailing WAL update bytes");
   page->dirty_ = true;
   page->referenced_ = true;
   page->page_lsn_ = rec.lsn;
@@ -1284,36 +1278,39 @@ void Pager::ReplayRecord(const Wal::Record& rec) {
     case WalRecordType::kTxnData:
       // Envelopes are unwrapped by Recover() before dispatch; one reaching
       // this switch would mean a bracket buffer leaked an undecoded record.
-      DS_PAGER_CHECK(false, "kTxnData envelope reached ReplayRecord");
+      DS_STORAGE_CHECK("Pager", false,
+                       "kTxnData envelope reached ReplayRecord");
       return;
     case WalRecordType::kCreateFile: {
       uint64_t id = 0;
-      DS_PAGER_CHECK(ReadU64(rec.payload, &pos, &id),
-                     "malformed WAL create record");
+      DS_STORAGE_CHECK("Pager", ReadU64(rec.payload, &pos, &id),
+                       "malformed WAL create record");
       files_.emplace(id, FileChain{});
       if (id >= next_file_id_) next_file_id_ = id + 1;
       return;
     }
     case WalRecordType::kDropFile: {
       uint64_t id = 0;
-      DS_PAGER_CHECK(ReadU64(rec.payload, &pos, &id),
-                     "malformed WAL drop record");
+      DS_STORAGE_CHECK("Pager", ReadU64(rec.payload, &pos, &id),
+                       "malformed WAL drop record");
       DropFile(id);
       return;
     }
     case WalRecordType::kTruncate: {
       uint64_t id = 0, slots = 0;
-      DS_PAGER_CHECK(ReadU64(rec.payload, &pos, &id) &&
-                         ReadU64(rec.payload, &pos, &slots),
-                     "malformed WAL truncate record");
+      DS_STORAGE_CHECK("Pager",
+                       ReadU64(rec.payload, &pos, &id) &&
+                           ReadU64(rec.payload, &pos, &slots),
+                       "malformed WAL truncate record");
       Truncate(id, slots);
       return;
     }
     case WalRecordType::kGrow: {
       uint64_t id = 0, pages = 0;
-      DS_PAGER_CHECK(ReadU64(rec.payload, &pos, &id) &&
-                         ReadU64(rec.payload, &pos, &pages) && pages > 0,
-                     "malformed WAL grow record");
+      DS_STORAGE_CHECK("Pager",
+                       ReadU64(rec.payload, &pos, &id) &&
+                           ReadU64(rec.payload, &pos, &pages) && pages > 0,
+                       "malformed WAL grow record");
       FileChain& chain = ChainOrDie(id);
       mount_sequential_ = false;
       if (chain.pages.size() < pages) {
@@ -1337,14 +1334,14 @@ void Pager::ReplayRecord(const Wal::Record& rec) {
       catalog_ddl_.push_back(CatalogRecord{rec.type, rec.payload});
       return;
   }
-  DS_PAGER_CHECK(false, "unknown WAL record type");
+  DS_STORAGE_CHECK("Pager", false, "unknown WAL record type");
 }
 
 uint64_t Pager::LogCatalogRecord(WalRecordType type,
                                  const std::string& payload) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  DS_PAGER_CHECK(IsCatalogRecordType(type),
-                 "LogCatalogRecord with a non-catalog record type");
+  DS_STORAGE_CHECK("Pager", IsCatalogRecordType(type),
+                   "LogCatalogRecord with a non-catalog record type");
   if (wal_ == nullptr || replaying_ || crashed_) return 0;
   // DDL never rides a statement bracket (it is its own commit point, synced
   // right below): the *calling thread* must not be inside an open bracket.
@@ -1354,8 +1351,8 @@ uint64_t Pager::LogCatalogRecord(WalRecordType type,
   // bracket only opens with its first AppendRecord.
   {
     TxnContext* ctx = CurrentCtxLocked();
-    DS_PAGER_CHECK(ctx == nullptr || !ctx->open,
-                   "catalog DDL inside an open statement bracket");
+    DS_STORAGE_CHECK("Pager", ctx == nullptr || !ctx->open,
+                     "catalog DDL inside an open statement bracket");
   }
   uint64_t lsn = wal_->Append(type, payload);
   // DDL is a commit point: the schema change (and, by WAL order, every page
@@ -1413,13 +1410,11 @@ void Pager::Recover() {
   // A bracket the (already torn-tail-truncated) log ends inside never
   // committed — it is dropped wholesale, which is the whole contract: a
   // crash at any byte offset yields exactly the committed-bracket set.
-  // Empty-payload markers are the legacy single-bracket format (pre-tagged
-  // logs); untagged records outside any bracket replay immediately. No
-  // physical truncation is needed; recovery ends on a checkpoint that
-  // rewrites the log anyway.
+  // Every bracket marker carries its transaction id; a marker without one
+  // (a log from before txn-id-tagged brackets) aborts as malformed. Records
+  // outside any bracket replay immediately. No physical truncation is
+  // needed; recovery ends on a checkpoint that rewrites the log anyway.
   std::unordered_map<uint64_t, std::vector<Wal::Record>> brackets;
-  std::vector<Wal::Record> legacy_bracket;
-  bool legacy_in_bracket = false;
   bool opened = wal_->Open([&](const Wal::Record& rec) {
     if (records == 0) first_lsn = rec.lsn;
     last_lsn = rec.lsn;
@@ -1427,15 +1422,10 @@ void Pager::Recover() {
     records += 1;
     switch (rec.type) {
       case WalRecordType::kTxnBegin: {
-        if (rec.payload.empty()) {  // legacy single-bracket log
-          legacy_bracket.clear();
-          legacy_in_bracket = true;
-          return;
-        }
         size_t pos = 0;
         uint64_t id = 0;
-        DS_PAGER_CHECK(ReadU64(rec.payload, &pos, &id),
-                       "malformed WAL txn-begin record");
+        DS_STORAGE_CHECK("Pager", ReadU64(rec.payload, &pos, &id),
+                         "malformed WAL txn-begin record");
         brackets[id].clear();
         return;
       }
@@ -1444,10 +1434,10 @@ void Pager::Recover() {
         uint64_t id = 0;
         bool data_ok =
             ReadU64(rec.payload, &pos, &id) && pos < rec.payload.size();
-        DS_PAGER_CHECK(data_ok, "malformed WAL txn-data record");
+        DS_STORAGE_CHECK("Pager", data_ok, "malformed WAL txn-data record");
         auto it = brackets.find(id);
-        DS_PAGER_CHECK(it != brackets.end(),
-                       "WAL txn-data outside its bracket");
+        DS_STORAGE_CHECK("Pager", it != brackets.end(),
+                         "WAL txn-data outside its bracket");
         Wal::Record inner;
         inner.lsn = rec.lsn;
         inner.type = static_cast<WalRecordType>(
@@ -1459,18 +1449,13 @@ void Pager::Recover() {
       }
       case WalRecordType::kTxnCommit:
       case WalRecordType::kTxnAbort: {
-        if (rec.payload.empty()) {  // legacy close
-          for (const Wal::Record& r : legacy_bracket) ReplayRecord(r);
-          legacy_bracket.clear();
-          legacy_in_bracket = false;
-          return;
-        }
         size_t pos = 0;
         uint64_t id = 0;
-        DS_PAGER_CHECK(ReadU64(rec.payload, &pos, &id),
-                       "malformed WAL txn-close record");
+        DS_STORAGE_CHECK("Pager", ReadU64(rec.payload, &pos, &id),
+                         "malformed WAL txn-close record");
         auto it = brackets.find(id);
-        DS_PAGER_CHECK(it != brackets.end(), "WAL txn-close without begin");
+        DS_STORAGE_CHECK("Pager", it != brackets.end(),
+                         "WAL txn-close without begin");
         for (const Wal::Record& r : it->second) ReplayRecord(r);
         brackets.erase(it);
         return;
@@ -1478,15 +1463,10 @@ void Pager::Recover() {
       default:
         break;
     }
-    if (legacy_in_bracket) {
-      legacy_bracket.push_back(rec);
-    } else {
-      ReplayRecord(rec);
-    }
+    ReplayRecord(rec);
   });
   // Unterminated brackets: the torn transactions, dropped wholesale.
   brackets.clear();
-  legacy_bracket.clear();
   accounting_ = accounting_was;
   replaying_ = false;
   if (!opened) {

@@ -1,6 +1,5 @@
 #include "storage/rcv_store.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "storage/page_cursor.h"
@@ -40,20 +39,6 @@ RcvStore::~RcvStore() {
   }
 }
 
-void RcvStore::RemoveSlotForAttach(InternalColumn& ic, uint64_t slot) {
-  uint64_t last = ic.slot_to_row.size() - 1;
-  if (slot != last) {
-    pager_->Write(ic.file, slot, pager_->Take(ic.file, last));
-    uint64_t moved_row = ic.slot_to_row[last];
-    pager_->Write(ic.backptr, slot, Value::Int(static_cast<int64_t>(moved_row)));
-    ic.row_to_slot[moved_row] = slot;
-    ic.slot_to_row[slot] = moved_row;
-  }
-  ic.slot_to_row.pop_back();
-  pager_->Truncate(ic.file, last);
-  pager_->Truncate(ic.backptr, last);
-}
-
 Result<std::unique_ptr<RcvStore>> RcvStore::Attach(
     const StorageManifest& manifest, uint64_t num_rows,
     storage::Pager* pager) {
@@ -71,44 +56,25 @@ Result<std::unique_ptr<RcvStore>> RcvStore::Attach(
     if (!pager->HasFile(ic.file) || !pager->HasFile(ic.backptr)) {
       return Status::Internal("rcv manifest names a dead file");
     }
-    // A triple is durable once both its value and its back-pointer are on
-    // disk; a statement torn between the two leaves one file longer — trim
-    // to the shorter (= fully persisted) prefix.
-    uint64_t triples =
-        std::min(pager->FileSize(ic.file), pager->FileSize(ic.backptr));
-    if (pager->FileSize(ic.file) > triples) pager->Truncate(ic.file, triples);
-    if (pager->FileSize(ic.backptr) > triples) {
-      pager->Truncate(ic.backptr, triples);
+    // Every triple's value and back-pointer commit together, so the two
+    // files have one length and every back-pointer names a distinct live row.
+    uint64_t triples = pager->FileSize(ic.file);
+    if (pager->FileSize(ic.backptr) != triples) {
+      return Status::Internal("rcv heap and back-pointer file disagree on "
+                              "the triple count");
     }
-    // Rebuild the point index; phantom triples (rows past the recovered row
-    // count) and torn-erase duplicates are repaired afterwards. On a
-    // duplicate, keep the *later* slot: EraseTriple moves the back-pointer
-    // before the value, so the earlier (overwritten) slot may still hold
-    // the erased row's stale value while the later one is always intact.
     ic.slot_to_row.reserve(triples);
-    std::vector<uint64_t> doomed;
     for (uint64_t s = 0; s < triples; ++s) {
       const Value& v = pager->Read(ic.backptr, s);
-      if (v.type() != DataType::kInt) {
-        return Status::Internal("rcv back-pointer file holds a non-INT");
+      if (v.type() != DataType::kInt || v.int_value() < 0 ||
+          static_cast<uint64_t>(v.int_value()) >= num_rows) {
+        return Status::Internal("rcv back-pointer does not name a live row");
       }
       uint64_t row = static_cast<uint64_t>(v.int_value());
+      if (!ic.row_to_slot.emplace(row, s).second) {
+        return Status::Internal("rcv back-pointers name a row twice");
+      }
       ic.slot_to_row.push_back(row);
-      if (row >= num_rows) {
-        doomed.push_back(s);
-        continue;
-      }
-      auto [it, inserted] = ic.row_to_slot.emplace(row, s);
-      if (!inserted) {
-        doomed.push_back(it->second);  // earlier duplicate loses
-        it->second = s;
-      }
-    }
-    // Remove doomed slots highest-first so each removal's swap source is a
-    // live triple (or the doomed slot itself, which then just truncates).
-    std::sort(doomed.begin(), doomed.end());
-    for (size_t i = doomed.size(); i-- > 0;) {
-      store->RemoveSlotForAttach(ic, doomed[i]);
     }
   }
   return store;
@@ -140,8 +106,6 @@ void RcvStore::SetTriple(InternalColumn& ic, uint64_t row, Value v) {
   }
   uint64_t slot = ic.slot_to_row.size();
   pager_->Write(ic.file, slot, std::move(v));
-  // Durable index mirror: the value first, then its back-pointer — a crash
-  // between the two leaves a longer heap, which Attach trims.
   if (ic.backptr != 0) {
     pager_->Write(ic.backptr, slot, Value::Int(static_cast<int64_t>(row)));
   }
@@ -159,17 +123,10 @@ void RcvStore::EraseTriple(InternalColumn& ic, uint64_t row) {
     // Keep the column heap dense: the last triple's value moves into the hole.
     uint64_t moved_row = ic.slot_to_row[last_slot];
     if (ic.backptr != 0) {
-      // Durable ordering is load-bearing: the back-pointer moves *first*
-      // and the value is copied (not taken), so at every record boundary
-      // the kept mapping (Attach keeps the later duplicate slot) points at
-      // an intact value, and the erased row's mapping dies before any
-      // heap byte changes — no torn state can read another row's value.
       pager_->Write(ic.backptr, slot,
                     Value::Int(static_cast<int64_t>(moved_row)));
-      pager_->Write(ic.file, slot, Value(pager_->Read(ic.file, last_slot)));
-    } else {
-      pager_->Write(ic.file, slot, pager_->Take(ic.file, last_slot));
     }
+    pager_->Write(ic.file, slot, pager_->Read(ic.file, last_slot));
     ic.row_to_slot[moved_row] = slot;
     ic.slot_to_row[slot] = moved_row;
   }
@@ -280,40 +237,21 @@ Result<size_t> RcvStore::AppendRow(const Row& row) {
 Result<size_t> RcvStore::DeleteRow(size_t row) {
   if (row >= num_rows_) return Status::OutOfRange("row " + std::to_string(row));
   size_t last = num_rows_ - 1;
-  if (pager_->durable() && row != last) {
-    // Three strict phases so a crash-torn delete stays mostly redoable
-    // (Table::Attach re-copies from the intact last row): erase the
-    // target's triples where the moved row has none, copy the moved row's
-    // triples over the target, and only then unmaterialize the last row.
-    // The interleaved version below erases sources before all copies are
-    // done, which a redo could no longer read.
+  if (row != last) {
+    // The deleted row takes the last row's cells: erase it where the last
+    // row is NULL, copy the last row's triples over it, then unmaterialize
+    // the last row.
     for (InternalColumn& ic : columns_) {
       if (ic.row_to_slot.count(last) == 0) EraseTriple(ic, row);
     }
     for (InternalColumn& ic : columns_) {
       auto last_it = ic.row_to_slot.find(last);
       if (last_it != ic.row_to_slot.end()) {
-        SetTriple(ic, row, Value(pager_->Read(ic.file, last_it->second)));
+        SetTriple(ic, row, pager_->Read(ic.file, last_it->second));
       }
     }
-    for (InternalColumn& ic : columns_) EraseTriple(ic, last);
-    num_rows_ -= 1;
-    return last;
   }
-  for (InternalColumn& ic : columns_) {
-    if (row == last) {
-      EraseTriple(ic, last);
-      continue;
-    }
-    auto last_it = ic.row_to_slot.find(last);
-    if (last_it != ic.row_to_slot.end()) {
-      Value moved = pager_->Read(ic.file, last_it->second);
-      EraseTriple(ic, last);
-      SetTriple(ic, row, std::move(moved));
-    } else {
-      EraseTriple(ic, row);
-    }
-  }
+  for (InternalColumn& ic : columns_) EraseTriple(ic, last);
   num_rows_ -= 1;
   return last;
 }

@@ -30,9 +30,10 @@ class RcvStore : public TableStorage {
   ~RcvStore() override;
 
   /// Rebinds to recovered heaps + back-pointer files (manifest.files =
-  /// {heap0, backptr0, heap1, backptr1, ...}); rebuilds the point indexes
-  /// from the back-pointer files and erases triples of rows past `num_rows`
-  /// (remnants of a statement in flight at the crash).
+  /// {heap0, backptr0, heap1, backptr1, ...}) and rebuilds the point indexes
+  /// from the back-pointer files. Fails with Internal when a heap and its
+  /// back-pointer file differ in length or a back-pointer names a row
+  /// ≥ `num_rows` or a row twice.
   static Result<std::unique_ptr<RcvStore>> Attach(
       const StorageManifest& manifest, uint64_t num_rows,
       storage::Pager* pager);
@@ -77,9 +78,6 @@ class RcvStore : public TableStorage {
   void EraseTriple(InternalColumn& ic, uint64_t row);
   /// Reads the triple's value, or null when unmaterialized.
   Value ReadTriple(const InternalColumn& ic, uint64_t row) const;
-  /// Attach repair: drops the triple at `slot` (phantom row or torn-erase
-  /// duplicate) by moving the last triple into it, maps included.
-  void RemoveSlotForAttach(InternalColumn& ic, uint64_t slot);
 
   size_t num_rows_ = 0;
   std::vector<InternalColumn> columns_;  // logical col -> column heap

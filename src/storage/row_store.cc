@@ -40,14 +40,10 @@ Result<std::unique_ptr<RowStore>> RowStore::Attach(
     return Status::Internal("row-store manifest does not name one live heap");
   }
   storage::FileId heap = manifest.files[0];
-  uint64_t want = num_rows * manifest.num_columns;
-  if (pager->FileSize(heap) < want) {
-    return Status::Internal("recovered row heap is shorter than the catalog's "
-                            "row count — durability hole");
+  if (pager->FileSize(heap) != num_rows * manifest.num_columns) {
+    return Status::Internal("recovered row heap disagrees with the catalog's "
+                            "row count");
   }
-  // Excess slots are the remnant of a statement in flight at the crash
-  // (never acknowledged by the order file): trim them away.
-  if (pager->FileSize(heap) > want) pager->Truncate(heap, want);
   return std::unique_ptr<RowStore>(new RowStore(
       pager, heap, manifest.num_columns, static_cast<size_t>(num_rows)));
 }
@@ -142,20 +138,8 @@ Result<size_t> RowStore::DeleteRow(size_t row) {
   }
   size_t last = num_rows_ - 1;
   if (row != last) {
-    if (pager_->durable()) {
-      // Copy, don't take: the source row must stay intact until the
-      // truncate below, so a crash-torn delete can be *redone* from the
-      // still-complete last row (Table::Attach), and the file-size
-      // signature "size unchanged ⇒ no swap is missing" holds.
-      for (size_t c = 0; c < num_columns_; ++c) {
-        pager_->Write(file_, Entry(row, c),
-                      pager_->Read(file_, Entry(last, c)));
-      }
-    } else {
-      for (size_t c = 0; c < num_columns_; ++c) {
-        pager_->Write(file_, Entry(row, c),
-                      pager_->Take(file_, Entry(last, c)));
-      }
+    for (size_t c = 0; c < num_columns_; ++c) {
+      pager_->Write(file_, Entry(row, c), pager_->Read(file_, Entry(last, c)));
     }
   }
   pager_->Truncate(file_, last * num_columns_);

@@ -19,7 +19,7 @@ class RowStore : public TableStorage {
   ~RowStore() override;
 
   /// Rebinds to a recovered tuple heap (manifest.files = {heap}); see
-  /// AttachStorage for the num_rows / truncation contract.
+  /// AttachStorage for the exact-size contract.
   static Result<std::unique_ptr<RowStore>> Attach(const StorageManifest& manifest,
                                                   uint64_t num_rows,
                                                   storage::Pager* pager);

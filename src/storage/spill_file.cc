@@ -9,25 +9,13 @@
 #include "storage/pager.h"
 #include "storage/value_codec.h"
 
-// Spill I/O failures (ENOSPC, a yanked temp dir) leave the pool unable to
-// honor its bounded-memory contract; like the pager's API-misuse checks this
-// aborts rather than silently serving stale pages.
-#define DS_SPILL_CHECK(cond, msg)                                     \
-  do {                                                                \
-    if (!(cond)) {                                                    \
-      std::fprintf(stderr, "storage::SpillFile check failed: %s\n",   \
-                   (msg));                                            \
-      std::abort();                                                   \
-    }                                                                 \
-  } while (0)
-
 namespace dataspread {
 namespace storage {
 
 SpillFile::SpillFile(std::string path, bool durable)
     : path_(std::move(path)), durable_(durable) {
-  DS_SPILL_CHECK(!durable_ || !path_.empty(),
-                 "durable spill requires a named path");
+  DS_STORAGE_CHECK("SpillFile", !durable_ || !path_.empty(),
+                   "durable spill requires a named path");
 }
 
 SpillFile::~SpillFile() {
@@ -50,7 +38,7 @@ std::FILE* SpillFile::EnsureOpen() {
   } else {
     file_ = std::fopen(path_.c_str(), "wb+");
   }
-  DS_SPILL_CHECK(file_ != nullptr, "cannot open spill file");
+  DS_STORAGE_CHECK("SpillFile", file_ != nullptr, "cannot open spill file");
   // A 256 KiB stdio buffer (vs the libc default of a few KiB) lets a run of
   // sequentially laid-out page records — eviction write-back of a scan
   // stream, fault-in with readahead — coalesce into far fewer syscalls.
@@ -64,16 +52,18 @@ void SpillFile::SeekTo(std::FILE* f, uint64_t offset, bool writing) {
   // fseeko, not fseek: offsets are 64-bit and the heap can pass LONG_MAX on
   // ILP32 targets (relocated records abandon their old space, so text-heavy
   // workloads grow the file monotonically).
-  DS_SPILL_CHECK(fseeko(f, static_cast<off_t>(offset), SEEK_SET) == 0,
-                 "seek in spill file");
+  DS_STORAGE_CHECK("SpillFile",
+                   fseeko(f, static_cast<off_t>(offset), SEEK_SET) == 0,
+                   "seek in spill file");
   stream_pos_ = offset;
   stream_writing_ = writing;
 }
 
 void SpillFile::Sync() {
   if (file_ == nullptr) return;
-  DS_SPILL_CHECK(std::fflush(file_) == 0 && ::fsync(::fileno(file_)) == 0,
-                 "spill fsync");
+  DS_STORAGE_CHECK("SpillFile",
+                   std::fflush(file_) == 0 && ::fsync(::fileno(file_)) == 0,
+                   "spill fsync");
 }
 
 SpillFile::DirectorySnapshot SpillFile::ExportDirectory() const {
@@ -86,8 +76,8 @@ SpillFile::DirectorySnapshot SpillFile::ExportDirectory() const {
 }
 
 void SpillFile::RestoreDirectory(const DirectorySnapshot& dir) {
-  DS_SPILL_CHECK(slots_.empty() && end_offset_ == 0,
-                 "restoring a directory over a live spill heap");
+  DS_STORAGE_CHECK("SpillFile", slots_.empty() && end_offset_ == 0,
+                   "restoring a directory over a live spill heap");
   slots_ = dir.slots;
   free_slots_ = dir.free_slots;
   end_offset_ = dir.end_offset;
@@ -108,7 +98,8 @@ uint64_t SpillFile::AllocateSlot() {
 }
 
 void SpillFile::FreeSlot(uint64_t slot) {
-  DS_SPILL_CHECK(slot < slots_.size(), "freeing an unknown spill slot");
+  DS_STORAGE_CHECK("SpillFile", slot < slots_.size(),
+                   "freeing an unknown spill slot");
   free_slots_.push_back(slot);
   dead_bytes_ += slots_[slot].capacity;
 }
@@ -131,10 +122,11 @@ bool SpillFile::DecodePage(const std::string& buf, ValuePage* page) {
 }
 
 uint64_t SpillFile::WritePage(uint64_t slot, const ValuePage& page) {
-  DS_SPILL_CHECK(slot < slots_.size(), "writing an unknown spill slot");
+  DS_STORAGE_CHECK("SpillFile", slot < slots_.size(),
+                   "writing an unknown spill slot");
   EncodePage(page, &scratch_);
-  DS_SPILL_CHECK(scratch_.size() <= UINT32_MAX,
-                 "page record exceeds u32 length");
+  DS_STORAGE_CHECK("SpillFile", scratch_.size() <= UINT32_MAX,
+                   "page record exceeds u32 length");
   Record& rec = slots_[slot];
   if (scratch_.size() > rec.capacity) {
     // Outgrew the reserved space: relocate to the end of the heap. The old
@@ -151,24 +143,29 @@ uint64_t SpillFile::WritePage(uint64_t slot, const ValuePage& page) {
   rec.length = static_cast<uint32_t>(scratch_.size());
   std::FILE* f = EnsureOpen();
   SeekTo(f, rec.offset, /*writing=*/true);
-  DS_SPILL_CHECK(std::fwrite(scratch_.data(), 1, scratch_.size(), f) ==
-                     scratch_.size(),
-                 "short spill write");
+  DS_STORAGE_CHECK("SpillFile",
+                   std::fwrite(scratch_.data(), 1, scratch_.size(), f) ==
+                       scratch_.size(),
+                   "short spill write");
   stream_pos_ += scratch_.size();
   return scratch_.size();
 }
 
 uint64_t SpillFile::ReadPage(uint64_t slot, ValuePage* page) {
-  DS_SPILL_CHECK(slot < slots_.size(), "reading an unknown spill slot");
+  DS_STORAGE_CHECK("SpillFile", slot < slots_.size(),
+                   "reading an unknown spill slot");
   const Record& rec = slots_[slot];
-  DS_SPILL_CHECK(rec.length > 0, "reading a never-written spill slot");
+  DS_STORAGE_CHECK("SpillFile", rec.length > 0,
+                   "reading a never-written spill slot");
   scratch_.resize(rec.length);
   std::FILE* f = EnsureOpen();
   SeekTo(f, rec.offset, /*writing=*/false);
-  DS_SPILL_CHECK(std::fread(&scratch_[0], 1, rec.length, f) == rec.length,
-                 "short spill read");
+  DS_STORAGE_CHECK("SpillFile",
+                   std::fread(&scratch_[0], 1, rec.length, f) == rec.length,
+                   "short spill read");
   stream_pos_ += rec.length;
-  DS_SPILL_CHECK(DecodePage(scratch_, page), "corrupt spill record");
+  DS_STORAGE_CHECK("SpillFile", DecodePage(scratch_, page),
+                   "corrupt spill record");
   return rec.length;
 }
 

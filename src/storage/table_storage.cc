@@ -1,6 +1,5 @@
 #include "storage/table_storage.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "storage/column_store.h"
@@ -71,54 +70,6 @@ std::unique_ptr<TableStorage> CreateStorage(StorageModel model,
       return std::make_unique<HybridStore>(num_columns, pager, config);
   }
   return nullptr;
-}
-
-Result<uint64_t> ManifestRows(const StorageManifest& manifest,
-                              const storage::Pager& pager) {
-  constexpr uint64_t kUnbounded = ~uint64_t{0};
-  auto file_rows = [&pager](uint64_t file,
-                            uint64_t width) -> Result<uint64_t> {
-    if (!pager.HasFile(file)) {
-      return Status::Internal("storage manifest names a dead pager file");
-    }
-    return pager.FileSize(file) / width;  // floor: partial rows do not count
-  };
-  switch (manifest.model) {
-    case StorageModel::kRow: {
-      if (manifest.files.size() != 1) {
-        return Status::Internal("row-store manifest must name one heap");
-      }
-      if (manifest.num_columns == 0) return kUnbounded;
-      return file_rows(manifest.files[0], manifest.num_columns);
-    }
-    case StorageModel::kColumn: {
-      // Every column file holds exactly one slot per row; the shortest one
-      // bounds the fully persisted row count (a statement torn mid-append
-      // leaves a ragged edge).
-      uint64_t rows = kUnbounded;
-      for (uint64_t f : manifest.files) {
-        DS_ASSIGN_OR_RETURN(uint64_t r, file_rows(f, 1));
-        rows = std::min(rows, r);
-      }
-      return rows;
-    }
-    case StorageModel::kRcv:
-      // Only non-NULL cells materialize: file sizes cannot bound the row
-      // count. The catalog's order file is the authority.
-      return kUnbounded;
-    case StorageModel::kHybrid: {
-      uint64_t rows = kUnbounded;
-      for (const StorageManifest::Group& g : manifest.groups) {
-        if (g.width == 0) {
-          return Status::Internal("hybrid manifest group of width zero");
-        }
-        DS_ASSIGN_OR_RETURN(uint64_t r, file_rows(g.file, g.width));
-        rows = std::min(rows, r);
-      }
-      return rows;
-    }
-  }
-  return Status::Internal("unknown storage model in manifest");
 }
 
 Result<std::unique_ptr<TableStorage>> AttachStorage(

@@ -37,8 +37,8 @@ const char* StorageModelName(StorageModel model);
 ///            back-pointer file (present only on durable pagers)
 ///   kHybrid: groups[] carries the attribute-group structure; `files` unused
 ///
-/// Row counts are deliberately absent: they are derived from recovered file
-/// sizes at attach time (a checkpoint-stale count would undercount rows the
+/// Row counts are deliberately absent: attach takes them from the recovered
+/// order file's size (a checkpoint-stale count would undercount rows the
 /// WAL replayed after the snapshot).
 struct StorageManifest {
   StorageModel model = StorageModel::kHybrid;
@@ -190,22 +190,13 @@ std::unique_ptr<TableStorage> CreateStorage(
     StorageModel model, size_t num_columns, storage::Pager* pager = nullptr,
     const storage::PagerConfig& config = {});
 
-/// Row count recoverable from a manifest's file sizes alone: every model
-/// keeps its files at exactly `rows × width` slots, so the floor of the
-/// smallest file/width ratio is the last fully persisted row count. Returns
-/// UINT64_MAX for layouts whose files cannot bound the row count (kRcv
-/// materializes only non-NULL cells; zero-column tables) — the caller then
-/// relies on the catalog's order file. Fails on a manifest referencing
-/// unknown files.
-Result<uint64_t> ManifestRows(const StorageManifest& manifest,
-                              const storage::Pager& pager);
-
 /// Rebinds a storage object to the recovered pager files named by
-/// `manifest`, with exactly `num_rows` rows (the catalog layer derives the
-/// count from its order file and ManifestRows). Files holding more than
-/// `num_rows` rows are truncated down — the remnant of a statement in
-/// flight at the crash; files holding fewer make the attach fail. The
-/// result has retain_files() set: recovered files are persistent data.
+/// `manifest`, which must hold exactly `num_rows` rows (the catalog layer
+/// takes the count from its order file). Recovery leaves every file at a
+/// committed statement boundary, so any other file size — or, for RCV, a
+/// back-pointer naming a row ≥ `num_rows` or a row twice — is corruption and
+/// fails with Internal; nothing is trimmed or repaired. The result has
+/// retain_files() set: recovered files are persistent data.
 Result<std::unique_ptr<TableStorage>> AttachStorage(
     const StorageManifest& manifest, uint64_t num_rows,
     storage::Pager* pager);

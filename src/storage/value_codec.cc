@@ -19,11 +19,6 @@ enum Tag : unsigned char {
   kTagError = 5,
 };
 
-[[noreturn]] void CodecAbort(const char* msg) {
-  std::fprintf(stderr, "storage::value_codec check failed: %s\n", msg);
-  std::abort();
-}
-
 }  // namespace
 
 void AppendRaw(std::string* out, const void* data, size_t n) {
@@ -79,7 +74,8 @@ void EncodeValue(const Value& v, std::string* out) {
     case DataType::kText: {
       out->push_back(static_cast<char>(kTagText));
       const std::string& s = v.text_value();
-      if (s.size() > UINT32_MAX) CodecAbort("TEXT payload exceeds u32 length");
+      DS_STORAGE_CHECK("value_codec", s.size() <= UINT32_MAX,
+                       "TEXT payload exceeds u32 length");
       AppendU32(out, static_cast<uint32_t>(s.size()));
       out->append(s);
       return;
@@ -87,13 +83,14 @@ void EncodeValue(const Value& v, std::string* out) {
     case DataType::kError: {
       out->push_back(static_cast<char>(kTagError));
       const std::string& s = v.error_code();
-      if (s.size() > UINT32_MAX) CodecAbort("ERROR payload exceeds u32 length");
+      DS_STORAGE_CHECK("value_codec", s.size() <= UINT32_MAX,
+                       "ERROR payload exceeds u32 length");
       AppendU32(out, static_cast<uint32_t>(s.size()));
       out->append(s);
       return;
     }
   }
-  CodecAbort("unencodable value type");
+  DS_STORAGE_CHECK("value_codec", false, "unencodable value type");
 }
 
 bool DecodeValue(const std::string& buf, size_t* pos, Value* out) {

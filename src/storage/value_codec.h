@@ -2,9 +2,26 @@
 #define DATASPREAD_STORAGE_VALUE_CODEC_H_
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "types/value.h"
+
+/// The storage engine's one abort-on-failure check. A failed durability I/O
+/// call (write, fsync, rename) or a broken internal invariant (a freed page
+/// still pinned, a malformed log record) aborts: continuing would hand out
+/// acknowledgements the log cannot honor or corrupt a recycled frame
+/// silently. Stays on in release builds — one predictable branch per call.
+/// `component` names the reporter ("Pager", "Wal", ...) in the message.
+#define DS_STORAGE_CHECK(component, cond, msg)                           \
+  do {                                                                   \
+    if (!(cond)) {                                                       \
+      std::fprintf(stderr, "storage::%s check failed: %s\n", (component), \
+                   (msg));                                               \
+      std::abort();                                                      \
+    }                                                                    \
+  } while (0)
 
 namespace dataspread {
 namespace storage {

@@ -1,5 +1,6 @@
 #include "storage/wal.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
@@ -9,17 +10,6 @@
 #include <unistd.h>
 
 #include "storage/value_codec.h"
-
-// Like the pager and spill file, I/O failure on the durability path aborts:
-// continuing would hand out acknowledgements the log cannot honor.
-#define DS_WAL_CHECK(cond, msg)                                  \
-  do {                                                           \
-    if (!(cond)) {                                               \
-      std::fprintf(stderr, "storage::Wal check failed: %s\n",    \
-                   (msg));                                       \
-      std::abort();                                              \
-    }                                                            \
-  } while (0)
 
 namespace dataspread {
 namespace storage {
@@ -44,7 +34,8 @@ void FrameRecord(uint64_t lsn, WalRecordType type, const std::string& payload,
   // body = type byte + payload; crc covers lsn || body so a record can never
   // be accepted at the wrong stream position.
   uint32_t body_len = static_cast<uint32_t>(1 + payload.size());
-  DS_WAL_CHECK(payload.size() < kMaxBodyBytes, "WAL record body too large");
+  DS_STORAGE_CHECK("Wal", payload.size() < kMaxBodyBytes,
+                   "WAL record body too large");
   AppendU32(out, body_len);
   uint32_t crc = Crc32(&lsn, sizeof lsn);
   unsigned char type_byte = static_cast<unsigned char>(type);
@@ -78,8 +69,14 @@ void Wal::FsyncDirOf(const std::string& path) {
   if (dir.empty()) dir = "/";
   int fd = ::open(dir.c_str(), O_RDONLY);
   if (fd < 0) return;  // best effort: some filesystems refuse dir opens
-  ::fsync(fd);
+  // The rename is durable only once the directory is: a lost directory
+  // fsync lets a crash bring back the pre-checkpoint log after its spill
+  // slots were recycled. EINVAL (a filesystem that cannot sync directories)
+  // stays best effort, like the open above.
+  int rc = ::fsync(fd);
+  int err = errno;
   ::close(fd);
+  DS_STORAGE_CHECK("Wal", rc == 0 || err == EINVAL, "WAL directory fsync");
 }
 
 bool Wal::Open(const std::function<void(const Record&)>& replay) {
@@ -88,14 +85,14 @@ bool Wal::Open(const std::function<void(const Record&)>& replay) {
 
   // Read the whole log. Logs are truncated at every checkpoint, so the live
   // tail is bounded by the checkpoint cadence, not database size.
-  DS_WAL_CHECK(std::fseek(f, 0, SEEK_END) == 0, "seek WAL end");
+  DS_STORAGE_CHECK("Wal", std::fseek(f, 0, SEEK_END) == 0, "seek WAL end");
   long end = std::ftell(f);
-  DS_WAL_CHECK(end >= 0, "tell WAL end");
+  DS_STORAGE_CHECK("Wal", end >= 0, "tell WAL end");
   std::string buf(static_cast<size_t>(end), '\0');
   std::rewind(f);
   if (!buf.empty()) {
-    DS_WAL_CHECK(std::fread(&buf[0], 1, buf.size(), f) == buf.size(),
-                 "short WAL read");
+    DS_STORAGE_CHECK("Wal", std::fread(&buf[0], 1, buf.size(), f) == buf.size(),
+                     "short WAL read");
   }
 
   if (buf.empty()) {
@@ -104,15 +101,17 @@ bool Wal::Open(const std::function<void(const Record&)>& replay) {
     std::fclose(f);
     return false;
   }
-  DS_WAL_CHECK(buf.size() >= kFileHeaderBytes &&
-                   std::memcmp(buf.data(), kMagic, sizeof kMagic) == 0,
-               "WAL header corrupt (not a DATASPREAD WAL?)");
+  DS_STORAGE_CHECK("Wal",
+                   buf.size() >= kFileHeaderBytes &&
+                       std::memcmp(buf.data(), kMagic, sizeof kMagic) == 0,
+                   "WAL header corrupt (not a DATASPREAD WAL?)");
   size_t pos = sizeof kMagic;
   uint64_t base = 0;
   uint32_t header_crc = 0;
   ReadU64(buf, &pos, &base);
   ReadU32(buf, &pos, &header_crc);
-  DS_WAL_CHECK(header_crc == Crc32(&base, sizeof base), "WAL header CRC");
+  DS_STORAGE_CHECK("Wal", header_crc == Crc32(&base, sizeof base),
+                   "WAL header CRC");
 
   base_lsn_ = base;
   checkpoint_lsn_ = base;
@@ -136,24 +135,25 @@ bool Wal::Open(const std::function<void(const Record&)>& replay) {
     rec.lsn = rec_lsn;
     rec.type = static_cast<WalRecordType>(static_cast<unsigned char>(buf[pos]));
     rec.payload.assign(buf, pos + 1, body_len - 1);
-    DS_WAL_CHECK(!first || rec.type == WalRecordType::kCheckpoint,
-                 "WAL does not start with a checkpoint snapshot");
+    DS_STORAGE_CHECK("Wal", !first || rec.type == WalRecordType::kCheckpoint,
+                     "WAL does not start with a checkpoint snapshot");
     first = false;
     replay(rec);
     pos += body_len;
     lsn += kRecordHeaderBytes + body_len;
     valid_end = pos;
   }
-  DS_WAL_CHECK(!first, "WAL contains no complete checkpoint record");
+  DS_STORAGE_CHECK("Wal", !first, "WAL contains no complete checkpoint record");
 
   // Physically drop the torn tail so appends continue from the valid end,
   // and fsync once: the surviving records may have reached us via the page
   // cache of a killed process, and from here on we treat them as durable.
   if (valid_end < buf.size()) {
-    DS_WAL_CHECK(::ftruncate(::fileno(f), static_cast<off_t>(valid_end)) == 0,
-                 "truncate torn WAL tail");
+    off_t valid_size = static_cast<off_t>(valid_end);
+    DS_STORAGE_CHECK("Wal", ::ftruncate(::fileno(f), valid_size) == 0,
+                     "truncate torn WAL tail");
   }
-  DS_WAL_CHECK(::fsync(::fileno(f)) == 0, "WAL recovery fsync");
+  DS_STORAGE_CHECK("Wal", ::fsync(::fileno(f)) == 0, "WAL recovery fsync");
   std::fclose(f);
 
   next_lsn_.store(lsn, std::memory_order_release);
@@ -167,14 +167,14 @@ bool Wal::Open(const std::function<void(const Record&)>& replay) {
 std::FILE* Wal::EnsureAppendHandle() {
   if (file_ == nullptr) {
     file_ = std::fopen(path_.c_str(), "ab");
-    DS_WAL_CHECK(file_ != nullptr, "cannot open WAL for append");
+    DS_STORAGE_CHECK("Wal", file_ != nullptr, "cannot open WAL for append");
   }
   return file_;
 }
 
 uint64_t Wal::Append(WalRecordType type, const std::string& payload) {
   std::lock_guard<std::mutex> lock(mu_);
-  DS_WAL_CHECK(!crashed_, "appending to a crashed WAL");
+  DS_STORAGE_CHECK("Wal", !crashed_, "appending to a crashed WAL");
   uint64_t lsn = next_lsn_.load(std::memory_order_relaxed);
   size_t before = pending_.size();
   FrameRecord(lsn, type, payload, &pending_);
@@ -189,12 +189,13 @@ uint64_t Wal::Append(WalRecordType type, const std::string& payload) {
 void Wal::Drain() {
   if (pending_.empty()) return;
   std::FILE* f = EnsureAppendHandle();
-  DS_WAL_CHECK(std::fwrite(pending_.data(), 1, pending_.size(), f) ==
-                   pending_.size(),
-               "short WAL write");
+  DS_STORAGE_CHECK("Wal",
+                   std::fwrite(pending_.data(), 1, pending_.size(), f) ==
+                       pending_.size(),
+                   "short WAL write");
   // Hand the bytes to the OS now: after this only a power/kernel failure —
   // not a process kill — can lose them, and fsync has less to do later.
-  DS_WAL_CHECK(std::fflush(f) == 0, "WAL flush");
+  DS_STORAGE_CHECK("Wal", std::fflush(f) == 0, "WAL flush");
   pending_.clear();
 }
 
@@ -202,7 +203,7 @@ void Wal::Sync() { SyncThrough(next_lsn()); }
 
 void Wal::SyncThrough(uint64_t lsn) {
   std::unique_lock<std::mutex> lock(mu_);
-  DS_WAL_CHECK(!crashed_, "syncing a crashed WAL");
+  DS_STORAGE_CHECK("Wal", !crashed_, "syncing a crashed WAL");
   while (durable_lsn_.load(std::memory_order_relaxed) < lsn) {
     if (sync_active_) {
       // A leader's fsync is in flight. It may not cover records appended
@@ -218,7 +219,7 @@ void Wal::SyncThrough(uint64_t lsn) {
     int fd = ::fileno(EnsureAppendHandle());
     sync_active_ = true;
     lock.unlock();
-    DS_WAL_CHECK(::fsync(fd) == 0, "WAL fsync");
+    DS_STORAGE_CHECK("Wal", ::fsync(fd) == 0, "WAL fsync");
     lock.lock();
     sync_active_ = false;
     if (target > durable_lsn_.load(std::memory_order_relaxed)) {
@@ -242,7 +243,7 @@ void Wal::EnsureDurable(uint64_t lsn) {
 
 uint64_t Wal::RewriteWithCheckpoint(const std::string& snapshot_payload) {
   std::unique_lock<std::mutex> lock(mu_);
-  DS_WAL_CHECK(!crashed_, "checkpointing a crashed WAL");
+  DS_STORAGE_CHECK("Wal", !crashed_, "checkpointing a crashed WAL");
   // A group-commit leader may be mid-fsync on the current file descriptor;
   // wait it out before closing the handle under it.
   WaitForSyncIdle(lock);
@@ -265,16 +266,18 @@ uint64_t Wal::RewriteWithCheckpoint(const std::string& snapshot_payload) {
 
   std::string tmp = path_ + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  DS_WAL_CHECK(f != nullptr, "cannot create WAL checkpoint temp file");
-  DS_WAL_CHECK(std::fwrite(out.data(), 1, out.size(), f) == out.size(),
-               "short WAL checkpoint write");
-  DS_WAL_CHECK(std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0,
-               "WAL checkpoint fsync");
+  DS_STORAGE_CHECK("Wal", f != nullptr,
+                   "cannot create WAL checkpoint temp file");
+  DS_STORAGE_CHECK("Wal",
+                   std::fwrite(out.data(), 1, out.size(), f) == out.size(),
+                   "short WAL checkpoint write");
+  DS_STORAGE_CHECK("Wal", std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0,
+                   "WAL checkpoint fsync");
   std::fclose(f);
   // The atomic swap: readers/recovery see either the old complete log or
   // the new one, never a mixture.
-  DS_WAL_CHECK(std::rename(tmp.c_str(), path_.c_str()) == 0,
-               "WAL checkpoint rename");
+  DS_STORAGE_CHECK("Wal", std::rename(tmp.c_str(), path_.c_str()) == 0,
+                   "WAL checkpoint rename");
   FsyncDirOf(path_);
 
   base_lsn_ = snapshot_lsn;

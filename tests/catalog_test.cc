@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "db/database.h"
+#include "storage/pager.h"
 
 namespace dataspread {
 namespace {
@@ -459,6 +461,112 @@ TEST_P(KeyLocationTest, FindByKeyAfterReopen) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, KeyLocationTest,
+                         ::testing::Values(StorageModel::kRow,
+                                           StorageModel::kColumn,
+                                           StorageModel::kRcv,
+                                           StorageModel::kHybrid),
+                         [](const auto& info) {
+                           return std::string(StorageModelName(info.param));
+                         });
+
+// ---------------------------------------------------------------------------
+// Table::Attach validates and never repairs (DESIGN.md §6 "Catalog
+// recovery"): recovery replays only closed statement brackets, so any
+// disagreement between the side files and the storage files is corruption.
+// Each case tampers with one fresh table's files through the Pager API and
+// attaches it directly.
+// ---------------------------------------------------------------------------
+
+class TableAttachTest : public ::testing::TestWithParam<StorageModel> {
+ protected:
+  void SetUp() override {
+    base_ = ::testing::TempDir() + "ds_attach_" + StorageModelName(GetParam());
+    RemoveFiles();
+    storage::PagerConfig config;
+    config.wal_path = base_ + ".wal";
+    config.spill_path = base_ + ".pages";
+    config.durable_spill = true;
+    pager_ = std::make_unique<storage::Pager>(config);
+  }
+  void TearDown() override {
+    pager_.reset();
+    RemoveFiles();
+  }
+  void RemoveFiles() {
+    std::remove((base_ + ".wal").c_str());
+    std::remove((base_ + ".pages").c_str());
+  }
+
+  /// A durable table of kRows rows whose display order differs from its
+  /// storage order; the Table object goes away, its files stay.
+  TableDescriptor MakeTable(const std::string& name) {
+    auto table =
+        Table::Create(name, MovieSchema(), GetParam(), pager_.get())
+            .ValueOrDie();
+    for (int64_t i = 0; i < static_cast<int64_t>(kRows); ++i) {
+      EXPECT_TRUE(table->InsertRowAt(0, {Value::Int(i), Value::Text("t"),
+                                         Value::Int(1900 + i)})
+                      .ok());
+    }
+    return table->Describe();
+  }
+
+  static constexpr size_t kRows = 6;
+  std::string base_;
+  std::unique_ptr<storage::Pager> pager_;
+};
+
+TEST_P(TableAttachTest, AttachRejectsSideFilesThatDisagree) {
+  storage::Pager& pager = *pager_;
+
+  TableDescriptor clean = MakeTable("clean");
+  auto attached = Table::Attach(clean, &pager);
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  ASSERT_EQ(attached.value()->num_rows(), kRows);
+  for (size_t pos = 0; pos < kRows; ++pos) {
+    EXPECT_EQ(attached.value()->GetAt(pos, 0).value(),
+              Value::Int(static_cast<int64_t>(kRows - 1 - pos)));
+  }
+
+  TableDescriptor short_rid = MakeTable("short_rid");
+  pager.Truncate(short_rid.rid_file, kRows - 1);
+  EXPECT_FALSE(Table::Attach(short_rid, &pager).ok())
+      << "rid file one slot short";
+
+  TableDescriptor dup_order = MakeTable("dup_order");
+  pager.Write(dup_order.order_file, 1, pager.Read(dup_order.order_file, 0));
+  EXPECT_FALSE(Table::Attach(dup_order, &pager).ok())
+      << "order file holding a duplicate rid";
+
+  TableDescriptor torn = MakeTable("torn");
+  const StorageManifest& m = torn.manifest;
+  switch (GetParam()) {
+    case StorageModel::kRow:
+      // One more tuple's worth of slots than the order file has rows.
+      for (uint64_t c = 0; c < m.num_columns; ++c) {
+        pager.Write(m.files[0], kRows * m.num_columns + c, Value::Int(0));
+      }
+      break;
+    case StorageModel::kColumn:
+      for (uint64_t f : m.files) pager.Write(f, kRows, Value::Int(0));
+      break;
+    case StorageModel::kHybrid:
+      for (const StorageManifest::Group& g : m.groups) {
+        for (uint64_t o = 0; o < g.width; ++o) {
+          pager.Write(g.file, kRows * g.width + o, Value::Int(0));
+        }
+      }
+      break;
+    case StorageModel::kRcv:
+      // Column 0's first back-pointer names a row past the row count.
+      pager.Write(m.files[1], 0, Value::Int(static_cast<int64_t>(kRows)));
+      break;
+  }
+  EXPECT_FALSE(Table::Attach(torn, &pager).ok())
+      << "storage files disagreeing with the order file";
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, TableAttachTest,
                          ::testing::Values(StorageModel::kRow,
                                            StorageModel::kColumn,
                                            StorageModel::kRcv,
